@@ -47,7 +47,8 @@ print(f"\nS({n}, {d}, {r}) == {'-' if inst.sign < 0 else ''}q^{inst.e} "
       f"(mod Phi_{n}^2)?  {verdict.holds}")
 
 # The statement is false in general for even n.  The smallest
-# counterexample is (4, 3, 1); the witness is the nonzero remainder.
+# counterexample with n > 2 is (4, 3, 1); the witness is the nonzero
+# remainder.
 v = verify_theorem(4, 3, 1)
 print(f"\nS(4, 3, 1) verdict: {v.holds}")
 print(f"  witness remainder mod Phi_4^2: {v.witness}")

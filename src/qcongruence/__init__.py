@@ -17,8 +17,6 @@ from .qcombinatorics import (
     q_integer,
     q_pochhammer,
     qchu_check,
-    qrat_add,
-    qrat_mul,
 )
 from .congruence import (
     CongruenceDomainError,

@@ -15,10 +15,10 @@ from fractions import Fraction
 from math import gcd
 
 from . import theorems
-from .congruence import CongruenceDomainError, congruent_mod_phi, is_odd_prime
+from .congruence import CongruenceDomainError, is_odd_prime
 from .cyclotomic import cyclotomic, euler_totient
 from .polyring import LaurentPoly
-from .qcombinatorics import QRat, poch_to_binom_check, qchu_check
+from .qcombinatorics import poch_to_binom_check, qchu_check
 from .report import Report, ReportItem
 
 THEOREM_COLUMNS = ["n", "d", "r", "a", "e", "sign"]

@@ -3,18 +3,20 @@ small amount of elementary number theory the statements need.
 
 A congruence f == g (mod Phi_n^k) between QRats with denominators
 invertible modulo Phi_n is decided by cross multiplication: the
-difference Delta = f.num * den(g) - g.num * den(f) must leave zero
-remainder under exact division by the monic polynomial Phi_n^k.  Because
-q is a unit modulo Phi_n^k, Delta may first be multiplied by a power of
-q to clear negative exponents, and exponents may be folded modulo
-(q^n - 1)^k, which Phi_n^k divides; both steps preserve the remainder
-being zero and keep every intermediate polynomial small.
+difference Delta = f.num * den(g) - g.num * den(f) must vanish modulo
+Phi_n^k.  Since Phi_n^k divides (q^n - 1)^k, Delta is computed in the
+residue ring Z[q]/((q^n - 1)^k) (``Residue``), where q is a unit and every
+element is k vectors of length n: the numerators are folded in and the
+denominator factors (1 - q^m) multiplied in one at a time.  The verdict is
+the remainder of the folded Delta, a polynomial of degree < k n, under
+exact division by the monic polynomial Phi_n^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Union
 
 from .cyclotomic import cyclotomic
@@ -33,7 +35,8 @@ class Verdict:
     witness: Optional[LaurentPoly] = None
 
     def __post_init__(self):
-        assert self.holds == (self.witness is None)
+        if self.holds != (self.witness is None):
+            raise ValueError("a verdict carries a witness exactly when it fails")
 
     def __bool__(self) -> bool:
         return self.holds
@@ -82,30 +85,95 @@ def den_coprime_to_phi(den: FactoredDen, n: int) -> bool:
     return all(m % n != 0 for m in den.factors)
 
 
-# -- exponent folding modulo (q^n - 1)^k ----------------------------------
+# -- the residue ring Z[q]/((q^n - 1)^k) ------------------------------------
 
-def fold_mod_binomial_power(p: LaurentPoly, n: int, k: int) -> LaurentPoly:
-    """Reduce p modulo (q^n - 1)^k for k in {1, 2}, returning an honest
-    polynomial of degree < k*n.
+def _binom(M: int, j: int) -> int:
+    """The coefficient of t^j in (1 + t)^M, for any integer M."""
+    return comb(M, j) if M >= 0 else (-1) ** j * comb(j - M - 1, j)
 
-    Uses q^(a n + b) == q^b (mod q^n - 1) and, writing t = q^n - 1,
-    q^(a n + b) == q^b (1 + a t) == q^b ((1 - a) + a q^n) (mod t^2).
+
+class Residue:
+    """An element sum_{j<k} t^j c_j(q) of Z[q]/((q^n - 1)^k), t = q^n - 1.
+
+    ``c`` is a list of k coefficient lists of length n, ``c[j][i]`` being
+    the coefficient of t^j q^i.  Because q^n = 1 + t, multiplying by q^m
+    with m = M n + s is a rotation by s whose wrapped part carries into
+    the next power of t, followed by the truncated binomial (1 + t)^M.
     """
-    if k == 1:
-        out = [0] * n
-        for i, c in enumerate(p.coeffs):
-            if c:
-                out[(p.low + i) % n] += c
-        return LaurentPoly(0, out)
-    if k == 2:
-        out = [0] * (2 * n)
-        for i, c in enumerate(p.coeffs):
-            if c:
-                a, b = divmod(p.low + i, n)
-                out[b] += c * (1 - a)
-                out[b + n] += c * a
-        return LaurentPoly(0, out)
-    raise ValueError("folding implemented for modulus powers 1 and 2 only")
+
+    __slots__ = ("n", "k", "c")
+
+    def __init__(self, n: int, k: int, c: list):
+        self.n, self.k, self.c = n, k, c
+
+    def __add__(self, other: "Residue") -> "Residue":
+        return Residue(self.n, self.k, [[x + y for x, y in zip(a, b)]
+                                        for a, b in zip(self.c, other.c)])
+
+    def __sub__(self, other: "Residue") -> "Residue":
+        return Residue(self.n, self.k, [[x - y for x, y in zip(a, b)]
+                                        for a, b in zip(self.c, other.c)])
+
+    def __mul__(self, scalar) -> "Residue":
+        return Residue(self.n, self.k, [[scalar * x for x in a] for a in self.c])
+
+    def shift(self, m: int) -> "Residue":
+        """Multiply by q^m (m may be negative)."""
+        big, s = divmod(m, self.n)
+        c = self.c
+        if s:
+            cut = self.n - s
+            c = [c[0][cut:] + c[0][:cut]] + [
+                [x + y for x, y in zip(hi[cut:], lo[cut:])] + hi[:cut]
+                for lo, hi in zip(c, c[1:])]
+        if big:
+            binoms = [_binom(big, j) for j in range(self.k)]
+            out = []
+            for j, cj in enumerate(c):
+                for i in range(j):
+                    b = binoms[j - i]
+                    if b:
+                        cj = [x + b * y for x, y in zip(cj, c[i])]
+                out.append(cj)
+            c = out
+        return Residue(self.n, self.k, c)
+
+    def times_one_minus(self, m: int) -> "Residue":
+        """Multiply by the factor (1 - q^m)."""
+        return self - self.shift(m)
+
+    def poly(self) -> LaurentPoly:
+        """The representative sum_j c_j(q) (q^n - 1)^j, of degree < k n."""
+        acc = LaurentPoly.zero()
+        for cj in reversed(self.c):
+            acc = acc.shift(self.n) - acc + LaurentPoly(0, cj)
+        return acc
+
+    def verdict(self) -> Verdict:
+        """Decide whether this element vanishes modulo Phi_n^k, which
+        divides (q^n - 1)^k."""
+        rem = self.poly()
+        if rem.coeffs:
+            rem = rem.divrem(cyclotomic(self.n) ** self.k)[1]
+        return Verdict(True, self.k) if rem.is_zero else Verdict(False, self.k, rem)
+
+
+def fold_mod_binomial_power(p: LaurentPoly, n: int, k: int) -> Residue:
+    """Reduce the Laurent polynomial p into Z[q]/((q^n - 1)^k).
+
+    Horner's rule in q^n over blocks of n coefficients, starting at the
+    multiple of n at or below p.low.
+    """
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    big, s = divmod(p.low, n)
+    coeffs = [0] * s + list(p.coeffs)
+    acc = Residue(n, k, [[0] * n for _ in range(k)])
+    for start in reversed(range(0, len(coeffs), n)):
+        acc = acc.shift(n)
+        block = coeffs[start:start + n]
+        acc.c[0] = [x + y for x, y in zip(acc.c[0], block)] + acc.c[0][len(block):]
+    return acc.shift(big * n)
 
 
 def congruent_mod_phi(f: QRat, g: QRat, n: int, k: int) -> Verdict:
@@ -116,17 +184,10 @@ def congruent_mod_phi(f: QRat, g: QRat, n: int, k: int) -> Verdict:
         if not den_coprime_to_phi(side.den, n):
             raise CongruenceDomainError(
                 f"{name} denominator shares a factor with Phi_{n}")
-    delta = f.num * g.den.poly() - g.num * f.den.poly()
-    if delta.is_zero:
-        return Verdict(True, k)
-    if k <= 2:
-        delta = fold_mod_binomial_power(delta, n, k)
-        if delta.is_zero:
-            return Verdict(True, k)
-    elif delta.low < 0:
-        delta = delta.shift(-delta.low)
-    modulus = cyclotomic(n) ** k
-    _, rem = delta.divrem(modulus)
-    if rem.is_zero:
-        return Verdict(True, k)
-    return Verdict(False, k, rem)
+    lhs = fold_mod_binomial_power(f.num, n, k)
+    for m in g.den.factors:
+        lhs = lhs.times_one_minus(m)
+    rhs = fold_mod_binomial_power(g.num, n, k)
+    for m in f.den.factors:
+        rhs = rhs.times_one_minus(m)
+    return (lhs - rhs).verdict()

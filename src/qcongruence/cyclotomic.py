@@ -58,7 +58,9 @@ class CyclotomicCache:
         for d in range(1, n):
             if n % d == 0:
                 quo, rem = num.divrem(self._build(d))
-                assert rem.is_zero, f"inexact cyclotomic division at n={n}, d={d}"
+                if not rem.is_zero:
+                    raise ArithmeticError(
+                        f"inexact cyclotomic division at n={n}, d={d}")
                 num = quo
         self._table[n] = num
         return num

@@ -171,6 +171,8 @@ class LaurentPoly:
         Both operands must have ``low >= 0``; the divisor's leading
         coefficient must be nonzero (it always is, in canonical form).
         Returns (quotient, remainder) with deg(remainder) < deg(divisor).
+        A divisor with leading coefficient +-1 keeps integer coefficients
+        integral; any other divisor produces ``Fraction`` quotients.
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -188,7 +190,7 @@ class LaurentPoly:
         for i in range(len(a) - 1, db - 1, -1):
             if a[i] == 0:
                 continue
-            c = Fraction(a[i], 1) / lead if not isinstance(a[i], Fraction) else a[i] / lead
+            c = a[i] * lead if lead in (1, -1) else Fraction(a[i]) / lead
             quo[i - db] = c
             a[i] = 0
             for j in range(db):

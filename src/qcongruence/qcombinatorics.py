@@ -1,9 +1,9 @@
 """q-integers, q-Pochhammer symbols, Gaussian binomials, and rational
 functions of q with structurally factored denominators.
 
-The only denominators ever needed are rational multiples of products of
-(1 - q^m); a QRat keeps that structure explicit instead of reducing to
-lowest terms.  Equality and congruence are decided by cross
+The only denominators ever needed are products of factors (1 - q^m); a
+QRat keeps that structure explicit instead of reducing to lowest terms
+(a rational constant lives in the numerator).  Equality and congruence are decided by cross
 multiplication, which turns coprimality with Phi_n into the purely
 arithmetic check "n divides no factor exponent m".
 """
@@ -20,29 +20,22 @@ from .polyring import LaurentPoly, Scalar
 
 @dataclass(frozen=True)
 class FactoredDen:
-    """A nonzero rational scalar times a multiset of factors (1 - q^m)."""
+    """A multiset of factors (1 - q^m), standing for their product."""
 
-    scalar: Fraction
     factors: tuple  # sorted tuple of positive ints, one entry per factor
 
     def __post_init__(self):
-        if self.scalar == 0:
-            raise ValueError("denominator scalar must be nonzero")
         if any(m < 1 for m in self.factors):
             raise ValueError("denominator factor exponents must be >= 1")
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
         object.__setattr__(self, "factors", tuple(sorted(self.factors)))
 
     @staticmethod
     def one() -> "FactoredDen":
-        return FactoredDen(Fraction(1), ())
+        return FactoredDen(())
 
     def poly(self) -> LaurentPoly:
-        """Expand scalar * prod (1 - q^m) to a LaurentPoly."""
-        return factor_product(self.factors) * self.scalar
-
-    def counter(self) -> Counter:
-        return Counter(self.factors)
+        """Expand prod (1 - q^m) to a LaurentPoly."""
+        return factor_product(self.factors)
 
 
 def factor_product(exponents) -> LaurentPoly:
@@ -55,7 +48,7 @@ def factor_product(exponents) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class QRat:
-    """Exact rational function num / (den.scalar * prod(1 - q^m))."""
+    """Exact rational function num / prod(1 - q^m)."""
 
     num: LaurentPoly
     den: FactoredDen
@@ -80,13 +73,11 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        fc, gc = self.den.counter(), other.den.counter()
+        fc, gc = Counter(self.den.factors), Counter(other.den.factors)
         union = fc | gc  # max multiplicity, no gcd against numerators
-        num = (self.num * other.den.scalar * factor_product((union - fc).elements())
-               + other.num * self.den.scalar * factor_product((union - gc).elements()))
-        den = FactoredDen(self.den.scalar * other.den.scalar,
-                          tuple(union.elements()))
-        return QRat(num, den)
+        num = (self.num * factor_product((union - fc).elements())
+               + other.num * factor_product((union - gc).elements()))
+        return QRat(num, FactoredDen(tuple(union.elements())))
 
     __radd__ = __add__
 
@@ -113,8 +104,7 @@ class QRat:
         if not isinstance(other, QRat):
             return NotImplemented
         return QRat(self.num * other.num,
-                    FactoredDen(self.den.scalar * other.den.scalar,
-                                self.den.factors + other.den.factors))
+                    FactoredDen(self.den.factors + other.den.factors))
 
     __rmul__ = __mul__
 
@@ -124,16 +114,14 @@ class QRat:
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
-        lhs = self.num * other.den.scalar * factor_product(other.den.factors)
-        rhs = other.num * self.den.scalar * factor_product(self.den.factors)
-        return lhs == rhs
+        return self.num * other.den.poly() == other.num * self.den.poly()
 
     def __hash__(self):
         raise TypeError("QRat is not hashable (equality is semantic)")
 
     def value(self, x: Scalar) -> Fraction:
         """Evaluate at a rational point avoiding denominator zeros."""
-        den = Fraction(self.den.scalar)
+        den = Fraction(1)
         for m in self.den.factors:
             den *= 1 - Fraction(x) ** m
         if den == 0:
@@ -151,15 +139,6 @@ def _coerce(x):
     return NotImplemented
 
 
-# named function forms of the operators
-def qrat_add(f: QRat, g: QRat) -> QRat:
-    return f + g
-
-
-def qrat_mul(f: QRat, g: QRat) -> QRat:
-    return f * g
-
-
 def q_integer(m: int, b: int = 1) -> QRat:
     """[m]_{q^b} = (1 - q^{mb}) / (1 - q^b) for nonzero integer m."""
     if m == 0:
@@ -167,7 +146,7 @@ def q_integer(m: int, b: int = 1) -> QRat:
     if b < 1:
         raise ValueError("base exponent must be >= 1")
     num = LaurentPoly.from_dict({0: 1, m * b: -1})
-    return QRat(num, FactoredDen(Fraction(1), (b,)))
+    return QRat(num, FactoredDen((b,)))
 
 
 def q_pochhammer(u: int, b: int, k: int) -> LaurentPoly:
@@ -185,7 +164,7 @@ def gauss_binomial(N: int, k: int, b: int = 1) -> LaurentPoly:
 
     For N >= 0 this is the usual polynomial (zero when k > N); for N < 0
     it is the Laurent polynomial obtained by exact division.  An inexact
-    division can only be an implementation bug, hence the assertion.
+    division can only be an implementation bug, hence the ArithmeticError.
     """
     if k < 0:
         raise ValueError("lower index must be >= 0")
@@ -197,7 +176,9 @@ def gauss_binomial(N: int, k: int, b: int = 1) -> LaurentPoly:
     den = q_pochhammer(b, b, k)
     shift = -num.low if num.low < 0 else 0
     quo, rem = num.shift(shift).divrem(den)
-    assert rem.is_zero, f"inexact Gaussian binomial division: N={N}, k={k}, b={b}"
+    if not rem.is_zero:
+        raise ArithmeticError(
+            f"inexact Gaussian binomial division: N={N}, k={k}, b={b}")
     return quo.shift(-shift)
 
 
@@ -214,7 +195,7 @@ def binom_rational_index(r: int, d: int, k: int) -> QRat:
     sign = -1 if k % 2 else 1
     monomial = LaurentPoly.monomial(-r * k - d * (k * (k - 1) // 2), sign)
     num = monomial * q_pochhammer(r, d, k)
-    return QRat(num, FactoredDen(Fraction(1), tuple(d * j for j in range(1, k + 1))))
+    return QRat(num, FactoredDen(tuple(d * j for j in range(1, k + 1))))
 
 
 def poch_to_binom_check(r: int, d: int, k: int) -> bool:
@@ -227,11 +208,8 @@ def poch_to_binom_check(r: int, d: int, k: int) -> bool:
     """
     lhs_num = q_pochhammer(r, d, k)
     sign = -1 if k % 2 else 1
-    # prod_{j=0}^{k-1} (1 - q^{-r - d j})
-    acc = LaurentPoly.one()
-    for j in range(k):
-        acc = acc - acc.shift(-r - d * j)
-    rhs_num = LaurentPoly.monomial(r * k + d * (k * (k - 1) // 2), sign) * acc
+    rhs_num = (LaurentPoly.monomial(r * k + d * (k * (k - 1) // 2), sign)
+               * q_pochhammer(-r, -d, k))
     # both sides share the denominator (q^d; q^d)_k, so compare numerators
     return lhs_num == rhs_num
 

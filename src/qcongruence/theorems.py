@@ -5,11 +5,12 @@ rational coefficients; every verdict comes from exact division by a
 cyclotomic power, never from numerics.  The classical (q -> 1) side works
 directly with arbitrary-precision rationals modulo p^2.
 
-For bulk verification the truncated sum is accumulated with exponents
-already folded modulo (q^n - 1)^2, which the modulus Phi_n(q)^2 divides;
-this keeps every intermediate polynomial of length 2n instead of degree
-~ d n^2.  The folded route is checked against the straightforward
-rational-function construction in the test suite.
+The main statement and its corrected form are both claims about the same
+truncated sum modulo Phi_n(q)^2.  Both verifiers accumulate that sum in
+the residue ring Z[q]/((q^n - 1)^2) of ``congruence``, which keeps every
+intermediate of size 2n instead of degree ~ d n^2, and compare it there
+against their own right-hand side.  The test suite checks both against the
+straightforward rational-function construction ``phi21_truncated``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .congruence import (
     CongruenceDomainError,
     Verdict,
     congruent_mod_phi,
+    fold_mod_binomial_power,
     is_odd_prime,
     legendre,
     residue_index,
 )
-from .cyclotomic import cyclotomic
 from .polyring import LaurentPoly
 from .qcombinatorics import (
     FactoredDen,
@@ -71,10 +72,12 @@ def derive_instance(n: int, d: int, r: int) -> TheoremInstance:
         raise ValueError(f"gcd({n}, {d}) != 1")
     a = residue_index(Fraction(-r, d), n)
     adr = a * d + r
-    assert adr % n == 0, "a d + r must vanish modulo n"
+    if adr % n:
+        raise ArithmeticError("a d + r must vanish modulo n")
     sd = -adr // n
     e2 = 2 * a * adr - adr * (n - 1) - d * a * (a + 1)
-    assert e2 % 2 == 0, "monomial exponent must be an integer"
+    if e2 % 2:
+        raise ArithmeticError("monomial exponent must be an integer")
     return TheoremInstance(
         n=n, d=d, r=r, a=a, sd=sd, e=e2 // 2,
         sign=-1 if a % 2 else 1, degenerate=(r % d == 0),
@@ -108,7 +111,7 @@ def phi21_truncated(u: int, v: int, w: int, b: int, c: int, N: int) -> QRat:
         num = num + t.shift(c * k)
     factors = tuple(w + j * b for j in range(N - 1)) \
         + tuple(j * b for j in range(1, N))
-    return QRat(num, FactoredDen(Fraction(1), factors))
+    return QRat(num, FactoredDen(factors))
 
 
 def equivalent_form_sum(n: int, d: int, r: int) -> QRat:
@@ -127,68 +130,28 @@ def equivalent_form_sum(n: int, d: int, r: int) -> QRat:
 
 # -- the main congruence ---------------------------------------------------
 
-def verify_theorem(n: int, d: int, r: int, exact: bool = False) -> Verdict:
+def _folded_sum(n: int, d: int, r: int) -> tuple:
+    """The truncated sum phi21_truncated(r, d-r, d, d, 0, n) as a numerator
+    over ((q^d;q^d)_{n-1})^2, and that denominator, both in
+    Z[q]/((q^n - 1)^2)."""
+    acc = term = den = fold_mod_binomial_power(LaurentPoly.one(), n, 2)
+    for k in range(1, n):
+        acc = acc.times_one_minus(d * k).times_one_minus(d * k)
+        term = term.times_one_minus(r + d * (k - 1)).times_one_minus(
+            d - r + d * (k - 1))
+        acc = acc + term
+        den = den.times_one_minus(d * k).times_one_minus(d * k)
+    return acc, den
+
+
+def verify_theorem(n: int, d: int, r: int) -> Verdict:
     """Check the main congruence
 
         phi21_truncated(r, d-r, d, d, 0, n) == (-1)^a q^e  (mod Phi_n(q)^2)
-
-    With exact=True the left side is built as a full rational function
-    first; the default folds exponents during accumulation (same verdict,
-    much smaller intermediates).
     """
     inst = derive_instance(n, d, r)
-    rhs = QRat.monomial(inst.e, inst.sign)
-    if exact:
-        lhs = phi21_truncated(r, d - r, d, d, 0, n)
-        return congruent_mod_phi(lhs, rhs, n, 2)
-    return _verify_theorem_folded(inst)
-
-
-def _verify_theorem_folded(inst: TheoremInstance) -> Verdict:
-    n, d, r = inst.n, inst.d, inst.r
-    # numerator of the sum over ((q^d;q^d)_{n-1})^2, folded mod (q^n-1)^2
-    t = _fvec_one(n)
-    acc = t
-    for k in range(1, n):
-        acc = _fvec_mul_factor(_fvec_mul_factor(acc, n, d * k), n, d * k)
-        t = _fvec_mul_factor(_fvec_mul_factor(t, n, r + d * (k - 1)),
-                             n, d - r + d * (k - 1))
-        acc = [x + y for x, y in zip(acc, t)]
-    # sign * q^e times the denominator polynomial, folded
-    den = _fvec_one(n)
-    for j in range(1, n):
-        den = _fvec_mul_factor(_fvec_mul_factor(den, n, j * d), n, j * d)
-    rhs = [0] * (2 * n)
-    for i, c in enumerate(den):
-        if c:
-            _fvec_add_monomial(rhs, n, i + inst.e, inst.sign * c)
-    delta = LaurentPoly(0, [x - y for x, y in zip(acc, rhs)])
-    if delta.is_zero:
-        return Verdict(True, 2)
-    _, rem = delta.divrem(cyclotomic(n) ** 2)
-    return Verdict(True, 2) if rem.is_zero else Verdict(False, 2, rem)
-
-
-def _fvec_one(n: int) -> list:
-    v = [0] * (2 * n)
-    v[0] = 1
-    return v
-
-
-def _fvec_add_monomial(vec: list, n: int, exp: int, coef) -> None:
-    # q^(a n + b) == q^b ((1 - a) + a q^n)  (mod (q^n - 1)^2)
-    a, b = divmod(exp, n)
-    vec[b] += coef * (1 - a)
-    vec[b + n] += coef * a
-
-
-def _fvec_mul_factor(vec: list, n: int, m: int) -> list:
-    # vec * (1 - q^m), folded mod (q^n - 1)^2
-    out = list(vec)
-    for i, c in enumerate(vec):
-        if c:
-            _fvec_add_monomial(out, n, i + m, -c)
-    return out
+    num, den = _folded_sum(n, d, r)
+    return (num - den.shift(inst.e) * inst.sign).verdict()
 
 
 SPECIAL_CASES = {
@@ -214,7 +177,8 @@ def verify_special_case(label: str, p: int) -> Verdict:
         raise ValueError(f"p = {p} shares a factor with d = {d}")
     inst = derive_instance(p, d, 1)
     e_closed = coef * (1 - p * p)
-    assert e_closed.denominator == 1, "closed-form exponent must be integral"
+    if e_closed.denominator != 1:
+        raise ArithmeticError("closed-form exponent must be integral")
     verdict = verify_theorem(p, d, 1)
     if not verdict.holds:
         return verdict
@@ -230,11 +194,12 @@ def verify_special_case(label: str, p: int) -> Verdict:
 def _inv_q_integer(j: int, d: int) -> QRat:
     # 1 / [j]_{q^d} = (1 - q^d) / (1 - q^{j d})
     num = LaurentPoly.from_dict({0: 1, d: -1})
-    return QRat(num, FactoredDen(Fraction(1), (j * d,)))
+    return QRat(num, FactoredDen((j * d,)))
 
 
 def _half_exponent(numerator: int) -> int:
-    assert numerator % 2 == 0, "half-integer exponent encountered"
+    if numerator % 2:
+        raise ArithmeticError("half-integer exponent encountered")
     return numerator // 2
 
 
@@ -260,9 +225,36 @@ def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
         exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
         sign = -1 if j % 2 else 1
         term = QRat(ratio_num.shift(exp) * gauss_binomial(a, k - j, d),
-                    FactoredDen(Fraction(1), (j * d,)))
+                    FactoredDen((j * d,)))
         rhs = rhs - term * sign
     return congruent_mod_phi(lhs, rhs, n, 2)
+
+
+def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> QRat:
+    """sum_{k=1}^{n-1} q^{d k^2} [outer_top, k]
+           sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2}
+                         [inner_top, k-j] / [j]      (base q^d)"""
+    lhs = QRat.zero()
+    for k in range(1, n):
+        inner = QRat.zero()
+        for j in range(1, k + 1):
+            exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
+            sign = -1 if j % 2 else 1
+            term = _inv_q_integer(j, d) * gauss_binomial(inner_top, k - j, d)
+            inner = inner + QRat(term.num.shift(exp) * sign, term.den)
+        outer = inner * gauss_binomial(outer_top, k, d)
+        lhs = lhs + QRat(outer.num.shift(d * k * k), outer.den)
+    return lhs
+
+
+def _harmonic_tail(d: int, a: int, js) -> QRat:
+    """sum over j in js of q^{-d(a+1)(a-2j)/2} / [j]_{q^d}."""
+    rhs = QRat.zero()
+    for j in js:
+        exp = _half_exponent(-d * (a + 1) * (a - 2 * j))
+        term = _inv_q_integer(j, d)
+        rhs = rhs + QRat(term.num.shift(exp), term.den)
+    return rhs
 
 
 def step_final2(n: int, d: int, a: int) -> bool:
@@ -278,24 +270,8 @@ def step_final2(n: int, d: int, a: int) -> bool:
     """
     if not 0 <= a <= n - 1:
         raise ValueError("need 0 <= a <= n - 1")
-    lhs = QRat.zero()
-    for k in range(1, n):
-        inner = QRat.zero()
-        for j in range(1, k + 1):
-            exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
-            sign = -1 if j % 2 else 1
-            term = _inv_q_integer(j, d) * gauss_binomial(-1 - a, k - j, d)
-            inner = inner + QRat(term.num.shift(exp) * sign, term.den)
-        outer = inner * gauss_binomial(a, k, d)
-        lhs = lhs + QRat(outer.num.shift(d * k * k), outer.den)
-    rhs = QRat.zero()
-    for j in range(1, a + 1):
-        exp = _half_exponent(-d * (a + 1) * (a - 2 * j))
-        term = _inv_q_integer(j, d)
-        rhs = rhs + QRat(term.num.shift(exp), term.den)
-    if a % 2:
-        rhs = -rhs
-    return lhs == rhs
+    rhs = _harmonic_tail(d, a, range(1, a + 1))
+    return _double_sum(n, d, a, -1 - a) == (-rhs if a % 2 else rhs)
 
 
 def step_final3_final4(n: int, d: int, r: int) -> Verdict:
@@ -312,24 +288,9 @@ def step_final3_final4(n: int, d: int, r: int) -> Verdict:
     if inst.degenerate:
         raise ValueError("step requires a non-degenerate instance (d does not divide r)")
     a = inst.a
-    lhs = QRat.zero()
-    for k in range(1, n):
-        inner = QRat.zero()
-        for j in range(1, k + 1):
-            exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
-            sign = -1 if j % 2 else 1
-            term = _inv_q_integer(j, d) * gauss_binomial(a, k - j, d)
-            inner = inner + QRat(term.num.shift(exp) * sign, term.den)
-        outer = inner * gauss_binomial(-1 - a, k, d)
-        lhs = lhs + QRat(outer.num.shift(d * k * k), outer.den)
-    rhs = QRat.zero()
-    for j in range(a + 1, n):
-        exp = _half_exponent(-d * (a + 1) * (a - 2 * j))
-        term = _inv_q_integer(j, d)
-        rhs = rhs + QRat(term.num.shift(exp), term.den)
-    if a % 2 == 0:
-        rhs = -rhs
-    return congruent_mod_phi(lhs, rhs, n, 1)
+    rhs = _harmonic_tail(d, a, range(a + 1, n))
+    return congruent_mod_phi(_double_sum(n, d, -1 - a, a),
+                             rhs if a % 2 else -rhs, n, 1)
 
 
 def harmonic_full(n: int, d: int) -> Verdict:
@@ -365,7 +326,7 @@ def step_expansion(n: int, d: int, r: int) -> Verdict:
 
         q^E == 1 + (2a+1-n)/2 * (1 - q^{sdn})   (mod Phi_n(q)^2).
 
-    E is asserted integral.  NOTE: for even n this binomial expansion is
+    E must be integral (ArithmeticError otherwise).  NOTE: for even n this binomial expansion is
     applied to a half-integer power and the congruence genuinely fails
     whenever (a d + r)/n is odd; the failure propagates to the main
     statement for those instances (see the verifier tests).
@@ -375,13 +336,8 @@ def step_expansion(n: int, d: int, r: int) -> Verdict:
     e_exp = _half_exponent(sdn * (n - 1 - 2 * a))
     lhs = QRat.monomial(e_exp)
     c = Fraction(2 * a + 1 - n, 2)
-    terms = {0: 1 + c}
-    if sdn:
-        terms[sdn] = terms.get(sdn, 0) - c
-    else:
-        terms[0] -= c
-    rhs = QRat.from_poly(LaurentPoly.from_dict(terms))
-    return congruent_mod_phi(lhs, rhs, n, 2)
+    rhs = LaurentPoly.constant(1 + c) - LaurentPoly.monomial(sdn, c)
+    return congruent_mod_phi(lhs, QRat.from_poly(rhs), n, 2)
 
 
 def verify_proof_consistent_form(n: int, d: int, r: int) -> Verdict:
@@ -397,14 +353,11 @@ def verify_proof_consistent_form(n: int, d: int, r: int) -> Verdict:
     """
     inst = derive_instance(n, d, r)
     a, sdn = inst.a, inst.sdn
-    lhs = phi21_truncated(r, d - r, d, d, 0, n)
-    c = Fraction(2 * a + 1 - n, 2)
-    terms = {0: 1 + c}
-    terms[sdn] = terms.get(sdn, 0) - c
-    base = LaurentPoly.from_dict(terms).shift(-d * (a * (a + 1) // 2))
-    if a % 2:
-        base = -base
-    return congruent_mod_phi(lhs, QRat.from_poly(base), n, 2)
+    num, den = _folded_sum(n, d, r)
+    # both sides times 2, which clears the half-integer (2a+1-n)/2
+    c2 = 2 * a + 1 - n
+    rhs = (den * (2 + c2) - den.shift(sdn) * c2).shift(-d * (a * (a + 1) // 2))
+    return (num * 2 - rhs * inst.sign).verdict()
 
 
 # -- classical (q -> 1) side ----------------------------------------------

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -102,22 +101,17 @@ class TestQRatArithmetic:
 
     def test_harmonic_two_terms(self):
         # 1/[1] + 1/[2] = (1 - q^2 + 1 - q) / ((1-q)(1-q^2)) up to representation
-        inv1 = QRat(LaurentPoly.one(), FactoredDen(Fraction(1), ()))
-        inv2 = QRat(P({0: 1, 1: -1}), FactoredDen(Fraction(1), (2,)))
+        inv1 = QRat(LaurentPoly.one(), FactoredDen(()))
+        inv2 = QRat(P({0: 1, 1: -1}), FactoredDen((2,)))
         total = inv1 + inv2
         expected = QRat(P({0: 2, 1: -1, 2: -1}),
-                        FactoredDen(Fraction(1), (2,)))
+                        FactoredDen((2,)))
         assert total == expected
 
     def test_denominator_union_not_product(self):
-        f = QRat(LaurentPoly.one(), FactoredDen(Fraction(1), (2, 3)))
-        g = QRat(LaurentPoly.one(), FactoredDen(Fraction(1), (3, 5)))
+        f = QRat(LaurentPoly.one(), FactoredDen((2, 3)))
+        g = QRat(LaurentPoly.one(), FactoredDen((3, 5)))
         assert sorted((f + g).den.factors) == [2, 3, 5]
-
-    def test_scalar_denominators(self):
-        f = QRat(LaurentPoly.one(), FactoredDen(Fraction(1, 2), ()))
-        g = QRat(LaurentPoly.one(), FactoredDen(Fraction(1, 3), ()))
-        assert (f + g).value(2) == 5
 
     @given(st.integers(min_value=2, max_value=7),
            st.integers(min_value=-5, max_value=5).filter(lambda m: m != 0),
@@ -173,10 +167,6 @@ class TestQChuVandermonde:
 
 
 class TestFactoredDenInvariants:
-    def test_rejects_zero_scalar(self):
-        with pytest.raises(ValueError):
-            FactoredDen(Fraction(0), (1,))
-
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
-            FactoredDen(Fraction(1), (0,))
+            FactoredDen((0,))

@@ -116,10 +116,22 @@ class TestMainTheorem:
             assert verify_theorem(n, d, r).holds, (n, d, r)
 
     def test_folded_and_exact_paths_agree(self):
+        # oracle: the sum as an exact rational function, decided by
+        # congruent_mod_phi, against both the literal and the corrected
+        # right-hand side
         for n, d, r in grid(9, 6, 6, include_degenerate=True):
-            folded = verify_theorem(n, d, r)
-            exact = verify_theorem(n, d, r, exact=True)
-            assert folded.holds == exact.holds, (n, d, r)
+            inst = derive_instance(n, d, r)
+            lhs = phi21_truncated(r, d - r, d, d, 0, n)
+            literal = QRat.monomial(inst.e, inst.sign)
+            assert verify_theorem(n, d, r).holds == \
+                congruent_mod_phi(lhs, literal, n, 2).holds, (n, d, r)
+            c = Fraction(2 * inst.a + 1 - n, 2)
+            corrected = LaurentPoly.from_dict({0: 1 + c}) \
+                - LaurentPoly.monomial(inst.sdn, c)
+            corrected = corrected.shift(-d * (inst.a * (inst.a + 1) // 2))
+            assert verify_proof_consistent_form(n, d, r).holds == \
+                congruent_mod_phi(lhs, QRat.from_poly(corrected * inst.sign),
+                                  n, 2).holds, (n, d, r)
 
     def test_failure_pattern_even_n_odd_multiplier(self):
         # the congruence fails exactly when n is even and (a d + r)/n is
