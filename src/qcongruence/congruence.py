@@ -30,13 +30,17 @@ class CongruenceDomainError(ValueError):
 
 @dataclass(frozen=True)
 class Verdict:
+    """Holds exactly when it carries neither a witness (a nonzero
+    residue) nor a reason (why a failure has no residue)."""
+
     holds: bool
     modulus_power: int
     witness: Optional[LaurentPoly] = None
+    reason: Optional[str] = None
 
     def __post_init__(self):
-        if self.holds != (self.witness is None):
-            raise ValueError("a verdict carries a witness exactly when it fails")
+        if self.holds != (self.witness is None and self.reason is None):
+            raise ValueError("a verdict fails exactly with a witness or reason")
 
     def __bool__(self) -> bool:
         return self.holds

@@ -6,11 +6,11 @@ cyclotomic power, never from numerics.  The classical (q -> 1) side works
 directly with arbitrary-precision rationals modulo p^2.
 
 The main statement and its corrected form are both claims about the same
-truncated sum modulo Phi_n(q)^2.  Both verifiers accumulate that sum in
-the residue ring Z[q]/((q^n - 1)^2) of ``congruence``, which keeps every
-intermediate of size 2n instead of degree ~ d n^2, and compare it there
-against their own right-hand side.  The test suite checks both against the
-straightforward rational-function construction ``phi21_truncated``.
+truncated sum S modulo Phi_n(q)^2.  Each verifier runs one Horner
+accumulator of the difference (c S - rhs) D, D the sum's denominator, in
+the residue ring Z[q]/((q^n - 1)^2) of ``congruence``: no intermediate
+exceeds size 2n, and D is never formed on its own.  The test suite checks
+both, witnesses included, against the rational function ``phi21_truncated``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Union
 
 from .congruence import (
     CongruenceDomainError,
+    Residue,
     Verdict,
     congruent_mod_phi,
     fold_mod_binomial_power,
@@ -130,18 +131,19 @@ def equivalent_form_sum(n: int, d: int, r: int) -> QRat:
 
 # -- the main congruence ---------------------------------------------------
 
-def _folded_sum(n: int, d: int, r: int) -> tuple:
-    """The truncated sum phi21_truncated(r, d-r, d, d, 0, n) as a numerator
-    over ((q^d;q^d)_{n-1})^2, and that denominator, both in
-    Z[q]/((q^n - 1)^2)."""
-    acc = term = den = fold_mod_binomial_power(LaurentPoly.one(), n, 2)
-    for k in range(1, n):
+def _folded_difference(c: Residue, rhs: Residue, d: int, r: int) -> Residue:
+    """(c S - rhs) D in Z[q]/((q^n - 1)^2) for S = phi21_truncated(r, d-r,
+    d, d, 0, n), its denominator D = ((q^d;q^d)_{n-1})^2 and a constant c.
+    Horner's rule over the terms of S: D multiplies rhs by the factors
+    (1 - q^{dk})^2 that multiply the running sum, so the accumulator
+    starts at c - rhs and no separate denominator is needed."""
+    acc, term = c - rhs, c
+    for k in range(1, c.n):
         acc = acc.times_one_minus(d * k).times_one_minus(d * k)
         term = term.times_one_minus(r + d * (k - 1)).times_one_minus(
             d - r + d * (k - 1))
         acc = acc + term
-        den = den.times_one_minus(d * k).times_one_minus(d * k)
-    return acc, den
+    return acc
 
 
 def verify_theorem(n: int, d: int, r: int) -> Verdict:
@@ -150,8 +152,9 @@ def verify_theorem(n: int, d: int, r: int) -> Verdict:
         phi21_truncated(r, d-r, d, d, 0, n) == (-1)^a q^e  (mod Phi_n(q)^2)
     """
     inst = derive_instance(n, d, r)
-    num, den = _folded_sum(n, d, r)
-    return (num - den.shift(inst.e) * inst.sign).verdict()
+    one = fold_mod_binomial_power(LaurentPoly.one(), n, 2)
+    return _folded_difference(one, one.shift(inst.e) * inst.sign,
+                              d, r).verdict()
 
 
 SPECIAL_CASES = {
@@ -180,13 +183,12 @@ def verify_special_case(label: str, p: int) -> Verdict:
     if e_closed.denominator != 1:
         raise ArithmeticError("closed-form exponent must be integral")
     verdict = verify_theorem(p, d, 1)
-    if not verdict.holds:
-        return verdict
-    if inst.sign != legendre(leg_arg, p) or inst.e != int(e_closed):
-        # closed-form mismatch with a holding congruence: flag with a
-        # constant witness so the verdict still carries a reason
-        return Verdict(False, 2, LaurentPoly.constant(1))
-    return verdict
+    # a holding congruence whose closed form disagrees has no residue
+    reason = "; ".join(text for bad, text in (
+        (inst.sign != legendre(leg_arg, p),
+         f"sign {inst.sign} != Legendre({leg_arg} | {p})"),
+        (inst.e != e_closed, f"exponent {inst.e} != {e_closed}")) if bad)
+    return Verdict(False, 2, reason=reason) if verdict and reason else verdict
 
 
 # -- proof-step verifiers --------------------------------------------------
@@ -294,20 +296,21 @@ def step_final3_final4(n: int, d: int, r: int) -> Verdict:
 
 
 def harmonic_full(n: int, d: int) -> Verdict:
-    """sum_{j=1}^{n-1} 1/[j]_{q^d} == (n-1)(1-q^d)/2  (mod Phi_n(q))."""
+    """sum_{j=1}^{n-1} 1/[j]_{q^d} == (n-1)(1-q^d)/2  (mod Phi_n(q)), with
+    both sides times 2 to keep integers (Phi_n is monic: same verdict)."""
     if gcd(n, d) != 1:
         raise ValueError(f"gcd({n}, {d}) != 1")
     lhs = QRat.zero()
     for j in range(1, n):
         lhs = lhs + _inv_q_integer(j, d)
-    rhs = QRat.from_poly(
-        LaurentPoly.from_dict({0: 1, d: -1}) * Fraction(n - 1, 2))
-    return congruent_mod_phi(lhs, rhs, n, 1)
+    rhs = QRat.from_poly(LaurentPoly.from_dict({0: n - 1, d: 1 - n}))
+    return congruent_mod_phi(QRat(lhs.num * 2, lhs.den), rhs, n, 1)
 
 
 def harmonic_twisted(n: int, d: int, a: int) -> Verdict:
     """sum_{j=1}^{n-1} q^{d(a+1)j}/[j]_{q^d}
-       == (n-1)(1-q^d)/2 - (n-1)(1-q^d) + a(1-q^d)  (mod Phi_n(q))."""
+       == (n-1)(1-q^d)/2 - (n-1)(1-q^d) + a(1-q^d)  (mod Phi_n(q)),
+    both sides times 2."""
     if gcd(n, d) != 1:
         raise ValueError(f"gcd({n}, {d}) != 1")
     if not 0 <= a <= n - 1:
@@ -316,9 +319,9 @@ def harmonic_twisted(n: int, d: int, a: int) -> Verdict:
     for j in range(1, n):
         term = _inv_q_integer(j, d)
         lhs = lhs + QRat(term.num.shift(d * (a + 1) * j), term.den)
-    scalar = Fraction(n - 1, 2) - (n - 1) + a
-    rhs = QRat.from_poly(LaurentPoly.from_dict({0: 1, d: -1}) * scalar)
-    return congruent_mod_phi(lhs, rhs, n, 1)
+    c2 = 2 * a + 1 - n
+    rhs = QRat.from_poly(LaurentPoly.from_dict({0: c2, d: -c2}))
+    return congruent_mod_phi(QRat(lhs.num * 2, lhs.den), rhs, n, 1)
 
 
 def step_expansion(n: int, d: int, r: int) -> Verdict:
@@ -326,18 +329,18 @@ def step_expansion(n: int, d: int, r: int) -> Verdict:
 
         q^E == 1 + (2a+1-n)/2 * (1 - q^{sdn})   (mod Phi_n(q)^2).
 
-    E must be integral (ArithmeticError otherwise).  NOTE: for even n this binomial expansion is
-    applied to a half-integer power and the congruence genuinely fails
-    whenever (a d + r)/n is odd; the failure propagates to the main
-    statement for those instances (see the verifier tests).
+    E must be integral (ArithmeticError otherwise).  Both sides are taken
+    times 2, which doubles a failing witness.  NOTE: for even n this is
+    a binomial expansion of a half-integer power, and the congruence
+    genuinely fails whenever (a d + r)/n is odd; the failure propagates
+    to the main statement for those instances.
     """
     inst = derive_instance(n, d, r)
     a, sdn = inst.a, inst.sdn
     e_exp = _half_exponent(sdn * (n - 1 - 2 * a))
-    lhs = QRat.monomial(e_exp)
-    c = Fraction(2 * a + 1 - n, 2)
-    rhs = LaurentPoly.constant(1 + c) - LaurentPoly.monomial(sdn, c)
-    return congruent_mod_phi(lhs, QRat.from_poly(rhs), n, 2)
+    c2 = 2 * a + 1 - n
+    rhs = QRat.from_poly(LaurentPoly.from_dict({0: 2 + c2, sdn: -c2}))
+    return congruent_mod_phi(QRat.monomial(e_exp, 2), rhs, n, 2)
 
 
 def verify_proof_consistent_form(n: int, d: int, r: int) -> Verdict:
@@ -353,11 +356,11 @@ def verify_proof_consistent_form(n: int, d: int, r: int) -> Verdict:
     """
     inst = derive_instance(n, d, r)
     a, sdn = inst.a, inst.sdn
-    num, den = _folded_sum(n, d, r)
+    one = fold_mod_binomial_power(LaurentPoly.one(), n, 2)
     # both sides times 2, which clears the half-integer (2a+1-n)/2
     c2 = 2 * a + 1 - n
-    rhs = (den * (2 + c2) - den.shift(sdn) * c2).shift(-d * (a * (a + 1) // 2))
-    return (num * 2 - rhs * inst.sign).verdict()
+    rhs = (one * (2 + c2) - one.shift(sdn) * c2).shift(-d * (a * (a + 1) // 2))
+    return _folded_difference(one * 2, rhs * inst.sign, d, r).verdict()
 
 
 # -- classical (q -> 1) side ----------------------------------------------

@@ -194,3 +194,12 @@ class TestVerdict:
             Verdict(True, 1, LaurentPoly.one())
         with pytest.raises(ValueError):
             Verdict(False, 1, None)
+
+    def test_reason_instead_of_witness(self):
+        # a failure without a residue names why it fails
+        v = Verdict(False, 2, reason="sign disagrees")
+        assert not v and v.witness is None and v.reason == "sign disagrees"
+        assert Verdict(False, 2, LaurentPoly.one(), "both").reason == "both"
+        with pytest.raises(ValueError):
+            Verdict(True, 2, reason="sign disagrees")
+        assert Verdict(True, 2).reason is None

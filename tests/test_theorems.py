@@ -118,20 +118,42 @@ class TestMainTheorem:
     def test_folded_and_exact_paths_agree(self):
         # oracle: the sum as an exact rational function, decided by
         # congruent_mod_phi, against both the literal and the corrected
-        # right-hand side
+        # right-hand side.  The denominator of phi21_truncated is
+        # ((q^d;q^d)_{n-1})^2, the one the folded accumulator carries, so
+        # both paths reduce the same ring element: witnesses agree too.
         for n, d, r in grid(9, 6, 6, include_degenerate=True):
             inst = derive_instance(n, d, r)
             lhs = phi21_truncated(r, d - r, d, d, 0, n)
             literal = QRat.monomial(inst.e, inst.sign)
-            assert verify_theorem(n, d, r).holds == \
-                congruent_mod_phi(lhs, literal, n, 2).holds, (n, d, r)
-            c = Fraction(2 * inst.a + 1 - n, 2)
-            corrected = LaurentPoly.from_dict({0: 1 + c}) \
-                - LaurentPoly.monomial(inst.sdn, c)
+            folded = verify_theorem(n, d, r)
+            exact = congruent_mod_phi(lhs, literal, n, 2)
+            assert (folded.holds, folded.witness) == \
+                (exact.holds, exact.witness), (n, d, r)
+            # the corrected form, both sides times 2
+            c2 = 2 * inst.a + 1 - n
+            corrected = LaurentPoly.from_dict({0: 2 + c2}) \
+                - LaurentPoly.monomial(inst.sdn, c2)
             corrected = corrected.shift(-d * (inst.a * (inst.a + 1) // 2))
-            assert verify_proof_consistent_form(n, d, r).holds == \
-                congruent_mod_phi(lhs, QRat.from_poly(corrected * inst.sign),
-                                  n, 2).holds, (n, d, r)
+            folded = verify_proof_consistent_form(n, d, r)
+            exact = congruent_mod_phi(
+                QRat(lhs.num * 2, lhs.den),
+                QRat.from_poly(corrected * inst.sign), n, 2)
+            assert (folded.holds, folded.witness) == \
+                (exact.holds, exact.witness), (n, d, r)
+
+    @pytest.mark.parametrize("n", [97, 98, 100, 128])
+    def test_large_n_follows_even_n_rule(self, n):
+        # the folded path well beyond the n <= 40 acceptance grid: the
+        # literal form against the even-n rule, the corrected form always
+        for d in (3, 5, 7):
+            if gcd(n, d) != 1:
+                continue
+            for r in (1, 2, d + 1):
+                inst = derive_instance(n, d, r)
+                m = (inst.a * d + r) // n
+                expected = not (n % 2 == 0 and m % 2 == 1)
+                assert verify_theorem(n, d, r).holds == expected, (n, d, r)
+                assert verify_proof_consistent_form(n, d, r).holds, (n, d, r)
 
     def test_failure_pattern_even_n_odd_multiplier(self):
         # the congruence fails exactly when n is even and (a d + r)/n is
@@ -246,6 +268,20 @@ class TestSpecialCases:
                 inst = derive_instance(p, d, 1)
                 assert inst.e == int(coef * (1 - p * p)), (label, p)
                 assert inst.sign == legendre(leg_arg, p), (label, p)
+
+    @pytest.mark.parametrize("entry,named,other", [
+        ((3, 3, Fraction(1, 3)), "sign", "exponent"),
+        ((3, -3, Fraction(1, 6)), "exponent", "sign"),
+    ])
+    def test_closed_form_mismatch_carries_reason(self, monkeypatch, entry,
+                                                 named, other):
+        # the congruence itself holds at p = 7; only one closed form is
+        # made to disagree, so there is no residue to show
+        monkeypatch.setitem(SPECIAL_CASES, "qmor3", entry)
+        v = verify_special_case("qmor3", 7)
+        assert verify_theorem(7, 3, 1).holds
+        assert not v.holds and v.witness is None
+        assert named in v.reason and other not in v.reason
 
     def test_rejects_out_of_range_prime(self):
         with pytest.raises(ValueError):
