@@ -7,7 +7,7 @@ No floating point is used anywhere.
 """
 
 from .polyring import LaurentPoly, Q
-from .cyclotomic import CyclotomicCache, cyclotomic, euler_totient
+from .cyclotomic import cyclotomic, euler_totient
 from .qcombinatorics import (
     FactoredDen,
     QRat,

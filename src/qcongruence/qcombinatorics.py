@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .polyring import LaurentPoly, Scalar
 
@@ -118,6 +117,10 @@ class QRat:
 
     def __hash__(self):
         raise TypeError("QRat is not hashable (equality is semantic)")
+
+    def shift(self, m: int) -> "QRat":
+        """Multiply by q**m."""
+        return QRat(self.num.shift(m), self.den)
 
     def value(self, x: Scalar) -> Fraction:
         """Evaluate at a rational point avoiding denominator zeros."""

@@ -36,7 +36,6 @@ from .qcombinatorics import (
     QRat,
     binom_rational_index,
     gauss_binomial,
-    q_pochhammer,
 )
 
 
@@ -125,7 +124,7 @@ def equivalent_form_sum(n: int, d: int, r: int) -> QRat:
     acc = QRat.zero()
     for k in range(n):
         term = binom_rational_index(r, d, k) * binom_rational_index(d - r, d, k)
-        acc = acc + QRat(term.num.shift(d * k * k), term.den)
+        acc = acc + term.shift(d * k * k)
     return acc
 
 
@@ -193,16 +192,37 @@ def verify_special_case(label: str, p: int) -> Verdict:
 
 # -- proof-step verifiers --------------------------------------------------
 
-def _inv_q_integer(j: int, d: int) -> QRat:
-    # 1 / [j]_{q^d} = (1 - q^d) / (1 - q^{j d})
-    num = LaurentPoly.from_dict({0: 1, d: -1})
-    return QRat(num, FactoredDen((j * d,)))
-
-
 def _half_exponent(numerator: int) -> int:
     if numerator % 2:
         raise ArithmeticError("half-integer exponent encountered")
     return numerator // 2
+
+
+def _chu_tail(d: int, k: int, head: LaurentPoly, row: list) -> QRat:
+    """sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2} head row[k-j]
+    / (1 - q^{j d}), the j >= 1 terms of the q-Chu-Vandermonde expansion."""
+    tail = QRat.zero()
+    for j in range(1, k + 1):
+        exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
+        tail = tail + QRat(head.shift(exp) * row[k - j] * (-1) ** j,
+                           FactoredDen((j * d,)))
+    return tail
+
+
+def _harmonic(d: int, terms) -> QRat:
+    """sum over (j, e) in terms of q^e / [j]_{q^d}, each term written as
+    q^e (1 - q^d) / (1 - q^{j d})."""
+    one_minus_qd = LaurentPoly.one() - LaurentPoly.monomial(d)
+    total = QRat.zero()
+    for j, e in terms:
+        total = total + QRat(one_minus_qd.shift(e), FactoredDen((j * d,)))
+    return total
+
+
+def _harmonic_tail(d: int, a: int, js) -> QRat:
+    """sum over j in js of q^{-d(a+1)(a-2j)/2} / [j]_{q^d}."""
+    return _harmonic(d, ((j, _half_exponent(-d * (a + 1) * (a - 2 * j)))
+                         for j in js))
 
 
 def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
@@ -219,44 +239,23 @@ def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
     inst = derive_instance(n, d, r)
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n - 1")
-    a, sdn = inst.a, inst.sdn
-    lhs = binom_rational_index(r, d, k)
-    rhs = QRat.from_poly(gauss_binomial(a, k, d).shift(sdn * k))
-    ratio_num = LaurentPoly.from_dict({0: 1, sdn: -1}) if sdn else LaurentPoly.zero()
-    for j in range(1, k + 1):
-        exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
-        sign = -1 if j % 2 else 1
-        term = QRat(ratio_num.shift(exp) * gauss_binomial(a, k - j, d),
-                    FactoredDen((j * d,)))
-        rhs = rhs - term * sign
-    return congruent_mod_phi(lhs, rhs, n, 2)
+    row = [gauss_binomial(inst.a, i, d) for i in range(k + 1)]
+    head = LaurentPoly.one() - LaurentPoly.monomial(inst.sdn)
+    rhs = QRat.from_poly(row[k].shift(inst.sdn * k)) - _chu_tail(d, k, head, row)
+    return congruent_mod_phi(binom_rational_index(r, d, k), rhs, n, 2)
 
 
 def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> QRat:
     """sum_{k=1}^{n-1} q^{d k^2} [outer_top, k]
            sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2}
                          [inner_top, k-j] / [j]      (base q^d)"""
-    lhs = QRat.zero()
+    inner_row = [gauss_binomial(inner_top, i, d) for i in range(n - 1)]
+    head = LaurentPoly.one() - LaurentPoly.monomial(d)
+    total = QRat.zero()
     for k in range(1, n):
-        inner = QRat.zero()
-        for j in range(1, k + 1):
-            exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
-            sign = -1 if j % 2 else 1
-            term = _inv_q_integer(j, d) * gauss_binomial(inner_top, k - j, d)
-            inner = inner + QRat(term.num.shift(exp) * sign, term.den)
-        outer = inner * gauss_binomial(outer_top, k, d)
-        lhs = lhs + QRat(outer.num.shift(d * k * k), outer.den)
-    return lhs
-
-
-def _harmonic_tail(d: int, a: int, js) -> QRat:
-    """sum over j in js of q^{-d(a+1)(a-2j)/2} / [j]_{q^d}."""
-    rhs = QRat.zero()
-    for j in js:
-        exp = _half_exponent(-d * (a + 1) * (a - 2 * j))
-        term = _inv_q_integer(j, d)
-        rhs = rhs + QRat(term.num.shift(exp), term.den)
-    return rhs
+        inner = _chu_tail(d, k, head, inner_row)
+        total = total + (inner * gauss_binomial(outer_top, k, d)).shift(d * k * k)
+    return total
 
 
 def step_final2(n: int, d: int, a: int) -> bool:
@@ -300,11 +299,9 @@ def harmonic_full(n: int, d: int) -> Verdict:
     both sides times 2 to keep integers (Phi_n is monic: same verdict)."""
     if gcd(n, d) != 1:
         raise ValueError(f"gcd({n}, {d}) != 1")
-    lhs = QRat.zero()
-    for j in range(1, n):
-        lhs = lhs + _inv_q_integer(j, d)
+    lhs = _harmonic(d, ((j, 0) for j in range(1, n)))
     rhs = QRat.from_poly(LaurentPoly.from_dict({0: n - 1, d: 1 - n}))
-    return congruent_mod_phi(QRat(lhs.num * 2, lhs.den), rhs, n, 1)
+    return congruent_mod_phi(lhs * 2, rhs, n, 1)
 
 
 def harmonic_twisted(n: int, d: int, a: int) -> Verdict:
@@ -315,13 +312,10 @@ def harmonic_twisted(n: int, d: int, a: int) -> Verdict:
         raise ValueError(f"gcd({n}, {d}) != 1")
     if not 0 <= a <= n - 1:
         raise ValueError("need 0 <= a <= n - 1")
-    lhs = QRat.zero()
-    for j in range(1, n):
-        term = _inv_q_integer(j, d)
-        lhs = lhs + QRat(term.num.shift(d * (a + 1) * j), term.den)
+    lhs = _harmonic(d, ((j, d * (a + 1) * j) for j in range(1, n)))
     c2 = 2 * a + 1 - n
     rhs = QRat.from_poly(LaurentPoly.from_dict({0: c2, d: -c2}))
-    return congruent_mod_phi(QRat(lhs.num * 2, lhs.den), rhs, n, 1)
+    return congruent_mod_phi(lhs * 2, rhs, n, 1)
 
 
 def step_expansion(n: int, d: int, r: int) -> Verdict:
@@ -339,8 +333,9 @@ def step_expansion(n: int, d: int, r: int) -> Verdict:
     a, sdn = inst.a, inst.sdn
     e_exp = _half_exponent(sdn * (n - 1 - 2 * a))
     c2 = 2 * a + 1 - n
-    rhs = QRat.from_poly(LaurentPoly.from_dict({0: 2 + c2, sdn: -c2}))
-    return congruent_mod_phi(QRat.monomial(e_exp, 2), rhs, n, 2)
+    # by arithmetic, so that sdn = 0 (r = 0) leaves the constant 2
+    rhs = LaurentPoly.constant(2 + c2) - LaurentPoly.monomial(sdn, c2)
+    return congruent_mod_phi(QRat.monomial(e_exp, 2), QRat.from_poly(rhs), n, 2)
 
 
 def verify_proof_consistent_form(n: int, d: int, r: int) -> Verdict:
@@ -406,4 +401,4 @@ def verify_classical(alpha: Union[int, Fraction], p: int) -> Verdict:
         raise CongruenceDomainError("difference denominator divisible by p")
     if diff.numerator % (p * p) == 0:
         return Verdict(True, 2)
-    return Verdict(False, 2, LaurentPoly.constant(diff))
+    return Verdict(False, 2, reason=f"{p}^2 does not divide the difference {diff}")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcongruence import theorems
 from qcongruence.congruence import CongruenceDomainError
 from qcongruence.theorems import (
     derive_classical,
@@ -74,3 +75,12 @@ class TestVerifyClassical:
         # alpha = 1/3 at p = 3 is out of domain, not a false verdict
         with pytest.raises(CongruenceDomainError):
             verify_classical(Fraction(1, 3), 3)
+
+    def test_failure_carries_reason_not_witness(self, monkeypatch):
+        # real inputs always hold, so the sum is replaced by one that is
+        # off by 1/2 from (-1)^<-alpha>_p
+        monkeypatch.setattr(theorems, "f21_truncated_classical",
+                            lambda alpha, N: Fraction(3, 2))
+        v = verify_classical(HALF, 5)
+        assert not v.holds and v.witness is None
+        assert "5" in v.reason and "1/2" in v.reason

@@ -70,6 +70,11 @@ class TestSteps:
                                "harmonic_twisted", "expansion"}
         assert all(checks.values())
 
+    def test_r_zero_passes_every_step(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "5", "--d", "3",
+                           "--r", "0", "--steps")
+        assert code == 0 and "FAIL" not in out
+
     def test_failing_instance_localizes_to_expansion(self, capsys):
         code, out, _ = run(capsys, "steps", "--n", "4", "--d", "3", "--r", "1",
                            "--format", "json")

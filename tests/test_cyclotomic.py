@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from qcongruence.cyclotomic import CyclotomicCache, cyclotomic, euler_totient
+from qcongruence.cyclotomic import cyclotomic, euler_totient
 from qcongruence.polyring import LaurentPoly
 
 
@@ -77,8 +77,8 @@ def test_palindromic_coefficients():
 def test_cache_is_consistent_across_threads():
     import concurrent.futures
 
-    cache = CyclotomicCache()
+    cyclotomic.cache_clear()
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(cache.get, [30] * 16 + [105] * 16))
+        results = list(pool.map(cyclotomic, [30] * 16 + [105] * 16))
     assert all(r == cyclotomic(30) for r in results[:16])
     assert all(r == cyclotomic(105) for r in results[16:])

@@ -190,7 +190,8 @@ class TestMainTheorem:
 
 class TestProofSteps:
     SAMPLE = [(3, 2, 1), (5, 3, 1), (5, 4, 3), (7, 2, 1), (7, 5, 2),
-              (4, 3, 1), (8, 3, 2)]
+              (4, 3, 1), (8, 3, 2), (13, 3, 1), (16, 3, 1), (16, 5, 2),
+              (17, 4, 1)]
 
     def test_binom_shift_all_k(self):
         for n, d, r in self.SAMPLE:
@@ -235,6 +236,15 @@ class TestProofSteps:
             m = (inst.a * d + inst.r) // n
             expected = not (n % 2 == 0 and m % 2 == 1)
             assert step_expansion(n, d, r).holds == expected, (n, d, r)
+
+    def test_expansion_holds_at_r_zero(self):
+        # r = 0 gives a = 0 and sdn = 0: both sides of the expansion are 2,
+        # and the main sum collapses to 1 = q^0
+        for n in range(2, 13):
+            for d in range(2, 7):
+                if gcd(n, d) == 1:
+                    assert step_expansion(n, d, 0).holds, (n, d)
+                    assert verify_theorem(n, d, 0).holds, (n, d)
 
 
 class TestSpecialCases:
