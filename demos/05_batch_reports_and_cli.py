@@ -48,7 +48,6 @@ for line in report.to_csv().splitlines()[:4]:
 #   qcongruence classical --alpha 1/2,1/3 --p-max 37
 #   qcongruence special --case qmor3 --p-max 37
 #   qcongruence cyclotomic --n 105
-#   qcongruence selftest
 #
 # Exit status: 0 when every verdict holds, 1 when any fails, 2 on a
 # usage or precondition error.

@@ -1,5 +1,5 @@
 """Command-line front end: single-instance verification, grid sweeps,
-proof-step audits, classical-limit checks, and self tests.
+proof-step audits and classical-limit checks.
 
 Exit codes: 0 all verdicts hold, 1 at least one verification failed,
 2 usage or precondition error.
@@ -8,7 +8,6 @@ Exit codes: 0 all verdicts hold, 1 at least one verification failed,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 from fractions import Fraction
@@ -17,8 +16,6 @@ from math import gcd
 from . import theorems
 from .congruence import CongruenceDomainError, is_odd_prime
 from .cyclotomic import cyclotomic, euler_totient
-from .polyring import LaurentPoly
-from .qcombinatorics import poch_to_binom_check, qchu_check
 from .report import Report, ReportItem
 
 THEOREM_COLUMNS = ["n", "d", "r", "a", "e", "sign"]
@@ -126,76 +123,6 @@ def cmd_cyclotomic(args) -> Report:
     return report
 
 
-def _selftest_suites():
-    rng = random.Random(20240824)
-
-    def rand_poly():
-        return LaurentPoly(rng.randint(-4, 4),
-                           [rng.randint(-5, 5) for _ in range(rng.randint(0, 6))])
-
-    def ring_axioms():
-        for _ in range(50):
-            f, g, h = rand_poly(), rand_poly(), rand_poly()
-            if f + g != g + f or f * g != g * f:
-                return False
-            if (f + g) + h != f + (g + h) or (f * g) * h != f * (g * h):
-                return False
-            if f * (g + h) != f * g + f * h:
-                return False
-        return True
-
-    def cyclotomic_products():
-        for n in range(1, 41):
-            prod = LaurentPoly.one()
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    prod = prod * cyclotomic(d)
-            if prod != LaurentPoly.from_dict({n: 1, 0: -1}):
-                return False
-        return True
-
-    def qchu_suite():
-        return all(qchu_check(form, n, m, k)
-                   for form in (1, 2)
-                   for n in range(0, 6) for m in range(0, 6)
-                   for k in range(0, n + m + 1))
-
-    def poch_binom_suite():
-        return all(poch_to_binom_check(r, d, k)
-                   for d in range(1, 5) for r in range(-4, 5)
-                   for k in range(0, 6))
-
-    def equivalent_form_suite():
-        for (n, d, r) in [(3, 2, 1), (5, 3, 1), (5, 4, 3), (7, 2, 1)]:
-            lhs = theorems.phi21_truncated(r, d - r, d, d, 0, n)
-            if theorems.equivalent_form_sum(n, d, r) != lhs:
-                return False
-        return True
-
-    def theorem_samples():
-        return all(theorems.verify_theorem(n, d, r).holds
-                   for (n, d, r) in [(3, 2, 1), (5, 3, 1), (5, 4, 1),
-                                     (7, 6, 1), (11, 3, 2)])
-
-    return {
-        "ring_axioms": ring_axioms,
-        "cyclotomic_products": cyclotomic_products,
-        "qchu_identities": qchu_suite,
-        "poch_to_binom": poch_binom_suite,
-        "equivalent_form": equivalent_form_suite,
-        "theorem_samples": theorem_samples,
-    }
-
-
-def cmd_selftest(args) -> Report:
-    report = Report(["suite"])
-    for name, fn in _selftest_suites().items():
-        start = _now_ms()
-        report.items.append(ReportItem(
-            {"suite": name}, {name: bool(fn())}, [], ms=_now_ms() - start))
-    return report
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcongruence",
@@ -252,10 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     add_format(p)
     p.set_defaults(func=cmd_cyclotomic)
-
-    p = sub.add_parser("selftest", help="run the built-in identity suites")
-    add_format(p)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

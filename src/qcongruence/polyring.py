@@ -22,19 +22,22 @@ class LaurentPoly:
     __slots__ = ("low", "coeffs")
 
     def __init__(self, low: int, coeffs: Iterable[Scalar]):
-        coeffs = list(coeffs)
+        if not isinstance(coeffs, (list, tuple)):
+            coeffs = list(coeffs)
         # trim to canonical form
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
         start = 0
-        while start < len(coeffs) and coeffs[start] == 0:
+        while start < end and coeffs[start] == 0:
             start += 1
-        if start == len(coeffs):
+        if start == end:
             object.__setattr__(self, "low", 0)
             object.__setattr__(self, "coeffs", ())
         else:
             object.__setattr__(self, "low", low + start)
-            object.__setattr__(self, "coeffs", tuple(coeffs[start:]))
+            object.__setattr__(self, "coeffs", tuple(
+                coeffs if end - start == len(coeffs) else coeffs[start:end]))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -100,14 +103,11 @@ class LaurentPoly:
             return other
         if not other.coeffs:
             return self
-        lo = min(self.low, other.low)
-        hi = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        out = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.low - lo + i] = c
-        for i, c in enumerate(other.coeffs):
-            out[other.low - lo + i] += c
-        return LaurentPoly(lo, out)
+        a, b = (self, other) if self.low <= other.low else (other, self)
+        off, bc = b.low - a.low, b.coeffs
+        out = list(a.coeffs) + [0] * (off + len(bc) - len(a.coeffs))
+        out[off:off + len(bc)] = [x + y for x, y in zip(out[off:off + len(bc)], bc)]
+        return LaurentPoly(a.low, out)
 
     __radd__ = __add__
 
@@ -139,9 +139,11 @@ class LaurentPoly:
         if len(a) < len(b):
             a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
+        # only the nonzero terms: a polynomial in q^d has d - 1 zeros per term
+        a = [(i, ca) for i, ca in enumerate(a) if ca]
         for j, cb in enumerate(b):
             if cb:
-                for i, ca in enumerate(a):
+                for i, ca in a:
                     out[i + j] += ca * cb
         return LaurentPoly(self.low + other.low, out)
 
@@ -164,6 +166,34 @@ class LaurentPoly:
         if not self.coeffs:
             return _ZERO
         return LaurentPoly(self.low + t, self.coeffs)
+
+    def times_one_minus(self, m: int) -> "LaurentPoly":
+        """Multiply by (1 - q^m) in one pass over the coefficients."""
+        a = self.coeffs
+        if not a or not m:
+            return _ZERO
+        if m > 0:
+            return LaurentPoly(self.low, list(a[:m]) + [0] * (m - len(a))
+                               + [x - y for x, y in zip(a[m:], a)]
+                               + [-c for c in a[-m:]])
+        # 1 - q^m = q^m (q^{-m} - 1)
+        return LaurentPoly(self.low + m, [-c for c in a[:-m]] + [0] * (-m - len(a))
+                           + [x - y for x, y in zip(a, a[-m:])] + list(a[m:]))
+
+    def div_one_minus(self, m: int) -> "LaurentPoly":
+        """Exact quotient by (1 - q^m): c_i = a_i + c_{i-m}.  A nonzero
+        remainder raises ArithmeticError."""
+        if not m:
+            raise ZeroDivisionError("division by 1 - q^0 = 0")
+        if m < 0:  # 1 - q^m = -q^m (1 - q^{-m})
+            return -self.div_one_minus(-m).shift(-m)
+        c = list(self.coeffs)
+        for start in range(m, len(c), m):
+            c[start:start + m] = [x + y for x, y in zip(c[start:start + m],
+                                                        c[start - m:start])]
+        if any(c[-m:]):
+            raise ArithmeticError(f"(1 - q^{m}) does not divide {self}")
+        return LaurentPoly(self.low, c[:-m])
 
     def divrem(self, other: "LaurentPoly") -> tuple:
         """Exact rational long division for honest polynomials.

@@ -6,6 +6,13 @@ QRat keeps that structure explicit instead of reducing to lowest terms
 (a rational constant lives in the numerator).  Equality and congruence are decided by cross
 multiplication, which turns coprimality with Phi_n into the purely
 arithmetic check "n divides no factor exponent m".
+
+Products and quotients by (1 - q^m) are single passes over a coefficient
+list (``LaurentPoly.times_one_minus``/``div_one_minus``): Pochhammer
+symbols multiply in one factor at a time, Gaussian binomials come from
+one-factor exact divisions, a whole row [N, 0..k] at once, and
+``union_sum`` builds a sum of terms over their union denominator by
+Horner's rule.  ``QRat.__add__`` stays as the plain definition.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ def factor_product(exponents) -> LaurentPoly:
     """prod over m of (1 - q^m), as an honest polynomial."""
     acc = LaurentPoly.one()
     for m in exponents:
-        acc = acc - acc.shift(m)
+        acc = acc.times_one_minus(m)
     return acc
 
 
@@ -132,6 +139,36 @@ class QRat:
         return Fraction(self.num(x)) / den
 
 
+def union_sum(terms) -> QRat:
+    """The sum of num / prod_{m in factors} (1 - q^m) over the pairs
+    (num, factors) in terms, as one numerator over the max-multiplicity
+    union of the factor multisets: the QRat that adding the terms one by
+    one builds, whose numerator over that denominator is unique.
+
+    Horner's rule, one factor (1 - q^m) at a time: a factor new to the
+    union multiplies the sum so far and the running product of the union.
+    Each term is multiplied by the factors of the union that its own
+    denominator lacks: by that product when it shares none of them, else
+    one factor at a time.
+    """
+    acc, union, product = LaurentPoly.zero(), Counter(), LaurentPoly.one()
+    for num, factors in terms:
+        own = Counter(factors)
+        if union and own.keys().isdisjoint(union):
+            num = num * product
+        else:
+            for m, c in union.items():
+                for _ in range(c - own[m]):
+                    num = num.times_one_minus(m)
+        for m, c in own.items():
+            for _ in range(c - union[m]):
+                acc = acc.times_one_minus(m)
+                product = product.times_one_minus(m)
+                union[m] += 1
+        acc = acc + num
+    return QRat(acc, FactoredDen(tuple(union.elements())))
+
+
 def _coerce(x):
     if isinstance(x, QRat):
         return x
@@ -158,31 +195,36 @@ def q_pochhammer(u: int, b: int, k: int) -> LaurentPoly:
         raise ValueError("Pochhammer length must be >= 0")
     acc = LaurentPoly.one()
     for j in range(k):
-        acc = acc - acc.shift(u + j * b)
+        acc = acc.times_one_minus(u + j * b)
     return acc
+
+
+def gauss_binomial_row(N: int, k: int, b: int = 1) -> list:
+    """The Gaussian binomials [N choose i] in base q^b for i = 0..k.
+
+    Each comes from the one before by one factor and one exact division,
+    [N, i] = [N, i-1] (1 - q^{b(N-i+1)}) / (1 - q^{b i}); for N < 0 these
+    are Laurent polynomials, and for 0 <= N < i the factor (1 - q^0) makes
+    them zero.  An inexact division is an implementation bug and raises
+    ArithmeticError.
+    """
+    if k < 0:
+        raise ValueError("lower index must be >= 0")
+    row = [LaurentPoly.one()]
+    for i in range(1, k + 1):
+        row.append(row[-1].times_one_minus(b * (N - i + 1)).div_one_minus(b * i))
+    return row
 
 
 def gauss_binomial(N: int, k: int, b: int = 1) -> LaurentPoly:
     """Gaussian binomial [N choose k] in base q^b.
 
     For N >= 0 this is the usual polynomial (zero when k > N); for N < 0
-    it is the Laurent polynomial obtained by exact division.  An inexact
-    division can only be an implementation bug, hence the ArithmeticError.
+    it is a Laurent polynomial.  Built by ``gauss_binomial_row``.
     """
-    if k < 0:
-        raise ValueError("lower index must be >= 0")
-    if k == 0:
-        return LaurentPoly.one()
     if 0 <= N < k:
         return LaurentPoly.zero()
-    num = q_pochhammer(b * (N - k + 1), b, k)
-    den = q_pochhammer(b, b, k)
-    shift = -num.low if num.low < 0 else 0
-    quo, rem = num.shift(shift).divrem(den)
-    if not rem.is_zero:
-        raise ArithmeticError(
-            f"inexact Gaussian binomial division: N={N}, k={k}, b={b}")
-    return quo.shift(-shift)
+    return gauss_binomial_row(N, k, b)[-1]
 
 
 def binom_rational_index(r: int, d: int, k: int) -> QRat:
@@ -195,10 +237,9 @@ def binom_rational_index(r: int, d: int, k: int) -> QRat:
         raise ValueError("base exponent must be >= 1")
     if k < 0:
         raise ValueError("lower index must be >= 0")
-    sign = -1 if k % 2 else 1
-    monomial = LaurentPoly.monomial(-r * k - d * (k * (k - 1) // 2), sign)
-    num = monomial * q_pochhammer(r, d, k)
-    return QRat(num, FactoredDen(tuple(d * j for j in range(1, k + 1))))
+    num = q_pochhammer(r, d, k).shift(-r * k - d * (k * (k - 1) // 2))
+    return QRat(-num if k % 2 else num,
+                FactoredDen(tuple(d * j for j in range(1, k + 1))))
 
 
 def poch_to_binom_check(r: int, d: int, k: int) -> bool:

@@ -11,6 +11,13 @@ accumulator of the difference (c S - rhs) D, D the sum's denominator, in
 the residue ring Z[q]/((q^n - 1)^2) of ``congruence``: no intermediate
 exceeds size 2n, and D is never formed on its own.  The test suite checks
 both, witnesses included, against the rational function ``phi21_truncated``.
+
+Every proof-step sum has terms +-q^e (numerator) / prod (1 - q^m) and is
+built once, by ``union_sum``, as one numerator over the max-multiplicity
+union of its denominators, multiplying in one factor (1 - q^m) at a time;
+no QRat is added and no long division is done.  Over that denominator the
+numerator is unique, so each sum is the same QRat as its term-by-term
+QRat sum, which the test suite keeps as the reference.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from .qcombinatorics import (
     FactoredDen,
     QRat,
     binom_rational_index,
-    gauss_binomial,
+    gauss_binomial_row,
+    union_sum,
 )
 
 
@@ -104,10 +112,8 @@ def phi21_truncated(u: int, v: int, w: int, b: int, c: int, N: int) -> QRat:
     num = LaurentPoly.one()
     t = LaurentPoly.one()
     for k in range(1, N):
-        t = t - t.shift(u + (k - 1) * b)
-        t = t - t.shift(v + (k - 1) * b)
-        num = num - num.shift(w + (k - 1) * b)
-        num = num - num.shift(k * b)
+        t = t.times_one_minus(u + (k - 1) * b).times_one_minus(v + (k - 1) * b)
+        num = num.times_one_minus(w + (k - 1) * b).times_one_minus(k * b)
         num = num + t.shift(c * k)
     factors = tuple(w + j * b for j in range(N - 1)) \
         + tuple(j * b for j in range(1, N))
@@ -121,11 +127,13 @@ def equivalent_form_sum(n: int, d: int, r: int) -> QRat:
     Identical (not just congruent) to phi21_truncated(r, d-r, d, d, 0, n).
     """
     derive_instance(n, d, r)  # validate parameters
-    acc = QRat.zero()
-    for k in range(n):
-        term = binom_rational_index(r, d, k) * binom_rational_index(d - r, d, k)
-        acc = acc + term.shift(d * k * k)
-    return acc
+
+    def terms():
+        for k in range(n):
+            term = binom_rational_index(r, d, k) * binom_rational_index(d - r, d, k)
+            yield term.num.shift(d * k * k), term.den.factors
+
+    return union_sum(terms())
 
 
 # -- the main congruence ---------------------------------------------------
@@ -198,25 +206,21 @@ def _half_exponent(numerator: int) -> int:
     return numerator // 2
 
 
-def _chu_tail(d: int, k: int, head: LaurentPoly, row: list) -> QRat:
-    """sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2} head row[k-j]
-    / (1 - q^{j d}), the j >= 1 terms of the q-Chu-Vandermonde expansion."""
-    tail = QRat.zero()
+def _chu_tail(d: int, k: int, h: int, row: list, sign: int = 1):
+    """The terms, as (numerator, factors) pairs for ``union_sum``, of
+    sign sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2} (1 - q^h) row[k-j]
+    / (1 - q^{j d}), the j >= 1 part of the q-Chu-Vandermonde expansion."""
     for j in range(1, k + 1):
         exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
-        tail = tail + QRat(head.shift(exp) * row[k - j] * (-1) ** j,
-                           FactoredDen((j * d,)))
-    return tail
+        num = row[k - j].times_one_minus(h).shift(exp)
+        yield (num if sign * (-1) ** j > 0 else -num), (j * d,)
 
 
 def _harmonic(d: int, terms) -> QRat:
     """sum over (j, e) in terms of q^e / [j]_{q^d}, each term written as
     q^e (1 - q^d) / (1 - q^{j d})."""
-    one_minus_qd = LaurentPoly.one() - LaurentPoly.monomial(d)
-    total = QRat.zero()
-    for j, e in terms:
-        total = total + QRat(one_minus_qd.shift(e), FactoredDen((j * d,)))
-    return total
+    return union_sum((LaurentPoly.monomial(e).times_one_minus(d), (j * d,))
+                     for j, e in terms)
 
 
 def _harmonic_tail(d: int, a: int, js) -> QRat:
@@ -239,9 +243,9 @@ def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
     inst = derive_instance(n, d, r)
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n - 1")
-    row = [gauss_binomial(inst.a, i, d) for i in range(k + 1)]
-    head = LaurentPoly.one() - LaurentPoly.monomial(inst.sdn)
-    rhs = QRat.from_poly(row[k].shift(inst.sdn * k)) - _chu_tail(d, k, head, row)
+    row = gauss_binomial_row(inst.a, k, d)
+    rhs = union_sum([(row[k].shift(inst.sdn * k), ()),
+                     *_chu_tail(d, k, inst.sdn, row, -1)])
     return congruent_mod_phi(binom_rational_index(r, d, k), rhs, n, 2)
 
 
@@ -249,13 +253,18 @@ def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> QRat:
     """sum_{k=1}^{n-1} q^{d k^2} [outer_top, k]
            sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2}
                          [inner_top, k-j] / [j]      (base q^d)"""
-    inner_row = [gauss_binomial(inner_top, i, d) for i in range(n - 1)]
-    head = LaurentPoly.one() - LaurentPoly.monomial(d)
-    total = QRat.zero()
-    for k in range(1, n):
-        inner = _chu_tail(d, k, head, inner_row)
-        total = total + (inner * gauss_binomial(outer_top, k, d)).shift(d * k * k)
-    return total
+    inner_row = gauss_binomial_row(inner_top, n - 2, d)
+    outer_row = gauss_binomial_row(outer_top, n - 1, d)
+
+    def terms():
+        for k in range(1, n):
+            if outer_row[k].is_zero:  # a zero term still brings its factors
+                yield outer_row[k], tuple(d * j for j in range(1, k + 1))
+            else:
+                inner = union_sum(_chu_tail(d, k, d, inner_row))
+                yield (inner.num * outer_row[k]).shift(d * k * k), inner.den.factors
+
+    return union_sum(terms())
 
 
 def step_final2(n: int, d: int, a: int) -> bool:

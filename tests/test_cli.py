@@ -161,15 +161,6 @@ class TestCyclotomic:
         assert " -2 " in coeffs
 
 
-class TestSelftest:
-    def test_all_suites_pass(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--format", "json")
-        assert code == 0
-        obj = json.loads(out)
-        assert obj["summary"]["failed"] == 0
-        assert obj["summary"]["total"] == 6
-
-
 class TestDeterminism:
     def test_json_byte_identical_modulo_timing(self, capsys):
         argv = ("sweep", "--n-max", "5", "--d-max", "3", "--r-max", "2",

@@ -139,3 +139,27 @@ def test_divrem_roundtrip(f, g):
     assert quo * g + rem == f
     if not rem.is_zero:
         assert rem.degree < g.degree
+
+
+@given(polys, st.integers(min_value=-8, max_value=8).filter(lambda m: m != 0))
+def test_one_minus_roundtrip(f, m):
+    g = f.times_one_minus(m)
+    assert g == f - f.shift(m)
+    assert g.div_one_minus(m) == f
+
+
+@given(polys, st.integers(min_value=1, max_value=8),
+       st.integers(min_value=-6, max_value=6), coeffs.filter(lambda c: c != 0))
+def test_div_one_minus_rejects_non_multiple(f, m, e, c):
+    # (1 - q^m) divides f (1 - q^m) but no monomial
+    with pytest.raises(ArithmeticError):
+        (f.times_one_minus(m) + LaurentPoly.monomial(e, c)).div_one_minus(m)
+
+
+def test_one_minus_by_hand():
+    assert (1 + Q).times_one_minus(2) == P({0: 1, 1: 1, 2: -1, 3: -1})
+    assert P({0: 1, 3: -1}).div_one_minus(1) == P({0: 1, 1: 1, 2: 1})
+    assert LaurentPoly.zero().div_one_minus(3).is_zero
+    assert Q.times_one_minus(0).is_zero
+    with pytest.raises(ZeroDivisionError):
+        Q.div_one_minus(0)

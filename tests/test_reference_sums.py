@@ -1,0 +1,204 @@
+"""The proof-step sums against their term-by-term QRat construction.
+
+The package builds every proof-step sum as one numerator over the
+max-multiplicity union of its denominators (``union_sum``) and every
+Gaussian binomial by one-factor exact division.  This module keeps the
+slow constructions as the reference: each sum added one QRat at a time
+with ``QRat.__add__``, and each Gaussian binomial as the long-division
+quotient of two Pochhammer products multiplied out term by term.  Over a
+fixed denominator the numerator is unique, so the two must agree exactly,
+numerators and denominators, and every verdict must match witness and all.
+"""
+
+from functools import lru_cache
+from math import gcd
+
+import pytest
+from hypothesis import given, strategies as st
+
+from qcongruence import theorems
+from qcongruence.congruence import congruent_mod_phi
+from qcongruence.polyring import LaurentPoly
+from qcongruence.qcombinatorics import FactoredDen, QRat, gauss_binomial, union_sum
+
+ONE = LaurentPoly.one()
+
+
+# -- reference constructions -----------------------------------------------
+
+def ref_pochhammer(u, b, k):
+    """(q^u; q^b)_k multiplied out one full product at a time."""
+    acc = ONE
+    for j in range(k):
+        acc = acc * (ONE - LaurentPoly.monomial(u + j * b))
+    return acc
+
+
+@lru_cache(maxsize=None)
+def ref_gauss_binomial(N, k, b=1):
+    """[N choose k]_{q^b} as the exact quotient of two Pochhammer products."""
+    if k == 0:
+        return ONE
+    if 0 <= N < k:
+        return LaurentPoly.zero()
+    num = ref_pochhammer(b * (N - k + 1), b, k)
+    shift = -num.low if num.low < 0 else 0
+    quo, rem = num.shift(shift).divrem(ref_pochhammer(b, b, k))
+    if not rem.is_zero:
+        raise ArithmeticError("inexact Gaussian binomial division")
+    return quo.shift(-shift)
+
+
+def ref_binom_rational_index(r, d, k):
+    sign = -1 if k % 2 else 1
+    monomial = LaurentPoly.monomial(-r * k - d * (k * (k - 1) // 2), sign)
+    return QRat(monomial * ref_pochhammer(r, d, k),
+                FactoredDen(tuple(d * j for j in range(1, k + 1))))
+
+
+def ref_chu_tail(d, k, head, row):
+    tail = QRat.zero()
+    for j in range(1, k + 1):
+        exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
+        tail = tail + QRat(head.shift(exp) * row[k - j] * (-1) ** j,
+                           FactoredDen((j * d,)))
+    return tail
+
+
+def ref_harmonic(d, terms):
+    one_minus_qd = ONE - LaurentPoly.monomial(d)
+    total = QRat.zero()
+    for j, e in terms:
+        total = total + QRat(one_minus_qd.shift(e), FactoredDen((j * d,)))
+    return total
+
+
+def ref_harmonic_tail(d, a, js):
+    return ref_harmonic(d, ((j, -d * (a + 1) * (a - 2 * j) // 2) for j in js))
+
+
+@lru_cache(maxsize=None)  # step_final2 and the direct check share it
+def ref_double_sum(n, d, outer_top, inner_top):
+    inner_row = [ref_gauss_binomial(inner_top, i, d) for i in range(n - 1)]
+    head = ONE - LaurentPoly.monomial(d)
+    total = QRat.zero()
+    for k in range(1, n):
+        inner = ref_chu_tail(d, k, head, inner_row)
+        total = total + (inner * ref_gauss_binomial(outer_top, k, d)).shift(d * k * k)
+    return total
+
+
+def ref_step_binom_shift(n, d, r, k):
+    inst = theorems.derive_instance(n, d, r)
+    row = [ref_gauss_binomial(inst.a, i, d) for i in range(k + 1)]
+    head = ONE - LaurentPoly.monomial(inst.sdn)
+    rhs = QRat.from_poly(row[k].shift(inst.sdn * k)) - ref_chu_tail(d, k, head, row)
+    return congruent_mod_phi(ref_binom_rational_index(r, d, k), rhs, n, 2)
+
+
+def ref_step_final2(n, d, a):
+    rhs = ref_harmonic_tail(d, a, range(1, a + 1))
+    return ref_double_sum(n, d, a, -1 - a) == (-rhs if a % 2 else rhs)
+
+
+def ref_step_final3_final4(n, d, r):
+    a = theorems.derive_instance(n, d, r).a
+    rhs = ref_harmonic_tail(d, a, range(a + 1, n))
+    return congruent_mod_phi(ref_double_sum(n, d, -1 - a, a),
+                             rhs if a % 2 else -rhs, n, 1)
+
+
+def ref_harmonic_full(n, d):
+    lhs = ref_harmonic(d, ((j, 0) for j in range(1, n)))
+    rhs = QRat.from_poly(LaurentPoly.from_dict({0: n - 1, d: 1 - n}))
+    return congruent_mod_phi(lhs * 2, rhs, n, 1)
+
+
+def ref_harmonic_twisted(n, d, a):
+    lhs = ref_harmonic(d, ((j, d * (a + 1) * j) for j in range(1, n)))
+    c2 = 2 * a + 1 - n
+    rhs = QRat.from_poly(LaurentPoly.from_dict({0: c2, d: -c2}))
+    return congruent_mod_phi(lhs * 2, rhs, n, 1)
+
+
+def ref_step_expansion(n, d, r):
+    inst = theorems.derive_instance(n, d, r)
+    a, sdn = inst.a, inst.sdn
+    e_exp = sdn * (n - 1 - 2 * a) // 2
+    c2 = 2 * a + 1 - n
+    rhs = LaurentPoly.constant(2 + c2) - LaurentPoly.monomial(sdn, c2)
+    return congruent_mod_phi(QRat.monomial(e_exp, 2), QRat.from_poly(rhs), n, 2)
+
+
+def ref_equivalent_form_sum(n, d, r):
+    acc = QRat.zero()
+    for k in range(n):
+        term = ref_binom_rational_index(r, d, k) * ref_binom_rational_index(d - r, d, k)
+        acc = acc + term.shift(d * k * k)
+    return acc
+
+
+def same(x, y):
+    """Equal numerator and equal factored denominator, not just equal value."""
+    return x.num == y.num and x.den == y.den
+
+
+# -- the proof-step grid ---------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_proof_steps_match_reference(n):
+    """Every verdict, witness included, on n = 2..12, d = 2..6 coprime,
+    r = 1..2d, and the private sums themselves, numerator and denominator."""
+    for d in range(2, 7):
+        if gcd(n, d) != 1:
+            continue
+        assert theorems.harmonic_full(n, d) == ref_harmonic_full(n, d), (n, d)
+        for r in range(1, 2 * d + 1):
+            where = (n, d, r)
+            inst = theorems.derive_instance(n, d, r)
+            a = inst.a
+            for k in range(n):
+                assert theorems.step_binom_shift(n, d, r, k) == \
+                    ref_step_binom_shift(n, d, r, k), where + (k,)
+            assert theorems.step_final2(n, d, a) == ref_step_final2(n, d, a), where
+            if not inst.degenerate:
+                assert theorems.step_final3_final4(n, d, r) == \
+                    ref_step_final3_final4(n, d, r), where
+            assert theorems.harmonic_twisted(n, d, a) == \
+                ref_harmonic_twisted(n, d, a), where
+            assert theorems.step_expansion(n, d, r) == \
+                ref_step_expansion(n, d, r), where
+            assert same(theorems._double_sum(n, d, a, -1 - a),
+                        ref_double_sum(n, d, a, -1 - a)), where
+            assert same(theorems._harmonic_tail(d, a, range(a + 1, n)),
+                        ref_harmonic_tail(d, a, range(a + 1, n))), where
+            if n <= 8:
+                assert same(theorems.equivalent_form_sum(n, d, r),
+                            ref_equivalent_form_sum(n, d, r)), where
+
+
+# -- the union-denominator sum and the Gaussian binomial kernel ------------
+
+small_polys = st.builds(
+    lambda low, cs: LaurentPoly(low, cs),
+    st.integers(min_value=-6, max_value=6),
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=6),
+)
+# few distinct exponents, so that repeated factors are common
+factor_lists = st.lists(st.integers(min_value=1, max_value=4), max_size=4)
+
+
+@given(st.lists(st.tuples(small_polys, factor_lists), max_size=6))
+def test_union_sum_is_term_by_term_qrat_sum(terms):
+    expected = QRat.zero()
+    for num, factors in terms:
+        expected = expected + QRat(num, FactoredDen(tuple(factors)))
+    assert same(union_sum(terms), expected)
+
+
+def test_gauss_binomial_matches_pochhammer_quotient():
+    for N in range(-8, 9):
+        for k in range(0, 9):
+            for b in range(1, 4):
+                assert gauss_binomial(N, k, b) == ref_gauss_binomial(N, k, b), \
+                    (N, k, b)
