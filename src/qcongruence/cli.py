@@ -70,7 +70,10 @@ def cmd_classical(args) -> Report:
     alphas = []
     for chunk in args.alpha:
         for part in chunk.split(","):
-            alphas.append(Fraction(part.strip()))
+            try:
+                alphas.append(Fraction(part.strip()))
+            except ZeroDivisionError as exc:
+                raise ValueError(f"alpha {part.strip()} has denominator 0") from exc
     alphas = sorted(set(alphas))
     report = Report(["alpha", "p", "a"])
     primes = [p for p in range(3, args.p_max + 1) if is_odd_prime(p)]

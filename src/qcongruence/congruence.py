@@ -2,14 +2,14 @@
 small amount of elementary number theory the statements need.
 
 A congruence f == g (mod Phi_n^k) between QRats with denominators
-invertible modulo Phi_n is decided by cross multiplication: the
-difference Delta = f.num * den(g) - g.num * den(f) must vanish modulo
-Phi_n^k.  Since Phi_n^k divides (q^n - 1)^k, Delta is computed in the
-residue ring Z[q]/((q^n - 1)^k) (``Residue``), where q is a unit and every
-element is k vectors of length n: the numerators are folded in and the
-denominator factors (1 - q^m) multiplied in one at a time.  The verdict is
-the remainder of the folded Delta, a polynomial of degree < k n, under
-exact division by the monic polynomial Phi_n^k.
+invertible modulo Phi_n is decided on the numerator Delta of f - g over
+the max-multiplicity union of the two denominators (``union_sum``): that
+denominator is a unit modulo Phi_n, so the congruence holds exactly when
+Phi_n^k divides Delta.  Since Phi_n^k divides (q^n - 1)^k, Delta is
+folded into the residue ring Z[q]/((q^n - 1)^k) (``Residue``), where q is
+a unit and every element is k vectors of length n.  The verdict is the
+remainder of the folded Delta, a polynomial of degree < k n, under exact
+division by the monic polynomial Phi_n^k.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .cyclotomic import cyclotomic
 from .polyring import LaurentPoly
-from .qcombinatorics import FactoredDen, QRat
+from .qcombinatorics import FactoredDen, QRat, union_sum
 
 
 class CongruenceDomainError(ValueError):
@@ -31,7 +31,11 @@ class CongruenceDomainError(ValueError):
 @dataclass(frozen=True)
 class Verdict:
     """Holds exactly when it carries neither a witness (a nonzero
-    residue) nor a reason (why a failure has no residue)."""
+    residue) nor a reason (why a failure has no residue).
+
+    The witness of a failed congruence f == g (mod Phi_n^k) is the
+    remainder mod Phi_n^k of the folded numerator of f - g over the
+    union of the two denominators (``congruent_mod_phi``)."""
 
     holds: bool
     modulus_power: int
@@ -181,17 +185,14 @@ def fold_mod_binomial_power(p: LaurentPoly, n: int, k: int) -> Residue:
 
 
 def congruent_mod_phi(f: QRat, g: QRat, n: int, k: int) -> Verdict:
-    """Decide f == g (mod Phi_n(q)^k)."""
+    """Decide f == g (mod Phi_n(q)^k) on the numerator of f - g over the
+    max-multiplicity union of the two denominators; a failing verdict's
+    witness is that numerator's remainder mod Phi_n^k."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     for side, name in ((f, "left"), (g, "right")):
         if not den_coprime_to_phi(side.den, n):
             raise CongruenceDomainError(
                 f"{name} denominator shares a factor with Phi_{n}")
-    lhs = fold_mod_binomial_power(f.num, n, k)
-    for m in g.den.factors:
-        lhs = lhs.times_one_minus(m)
-    rhs = fold_mod_binomial_power(g.num, n, k)
-    for m in f.den.factors:
-        rhs = rhs.times_one_minus(m)
-    return (lhs - rhs).verdict()
+    delta = union_sum([(f.num, f.den.factors), (-g.num, g.den.factors)])
+    return fold_mod_binomial_power(delta.num, n, k).verdict()

@@ -196,31 +196,33 @@ class LaurentPoly:
         return LaurentPoly(self.low, c[:-m])
 
     def divrem(self, other: "LaurentPoly") -> tuple:
-        """Exact rational long division for honest polynomials.
+        """Exact long division of honest polynomials by a divisor with
+        leading coefficient +-1, so integer coefficients stay integral.
 
-        Both operands must have ``low >= 0``; the divisor's leading
-        coefficient must be nonzero (it always is, in canonical form).
-        Returns (quotient, remainder) with deg(remainder) < deg(divisor).
-        A divisor with leading coefficient +-1 keeps integer coefficients
-        integral; any other divisor produces ``Fraction`` quotients.
+        Both operands must have ``low >= 0``, and any other leading
+        coefficient raises ValueError: every divisor in the package is a
+        power of a cyclotomic polynomial.  Returns (quotient, remainder)
+        with deg(remainder) < deg(divisor).
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.low < 0 or other.low < 0:
             raise ValueError("divrem requires honest polynomials (low >= 0)")
+        lead = other.coeffs[-1]
+        if lead not in (1, -1):
+            raise ValueError(f"divrem needs a leading coefficient +-1, not {lead}")
         if self.is_zero:
             return _ZERO, _ZERO
         a = [0] * self.low + list(self.coeffs)
         b = [0] * other.low + list(other.coeffs)
         db = len(b) - 1
-        lead = b[-1]
         if len(a) - 1 < db:
             return _ZERO, self
         quo = [0] * (len(a) - db)
         for i in range(len(a) - 1, db - 1, -1):
             if a[i] == 0:
                 continue
-            c = a[i] * lead if lead in (1, -1) else Fraction(a[i]) / lead
+            c = a[i] * lead
             quo[i - db] = c
             a[i] = 0
             for j in range(db):

@@ -3,16 +3,18 @@ functions of q with structurally factored denominators.
 
 The only denominators ever needed are products of factors (1 - q^m); a
 QRat keeps that structure explicit instead of reducing to lowest terms
-(a rational constant lives in the numerator).  Equality and congruence are decided by cross
-multiplication, which turns coprimality with Phi_n into the purely
-arithmetic check "n divides no factor exponent m".
+(a rational constant lives in the numerator), which turns coprimality
+with Phi_n into the purely arithmetic check "n divides no factor
+exponent m".
 
 Products and quotients by (1 - q^m) are single passes over a coefficient
 list (``LaurentPoly.times_one_minus``/``div_one_minus``): Pochhammer
 symbols multiply in one factor at a time, Gaussian binomials come from
 one-factor exact divisions, a whole row [N, 0..k] at once, and
 ``union_sum`` builds a sum of terms over their union denominator by
-Horner's rule.  ``QRat.__add__`` stays as the plain definition.
+Horner's rule.  ``union_sum`` is the only place two denominators meet:
+QRat addition, subtraction and equality go through it, and so does
+``congruence.congruent_mod_phi``.
 """
 
 from __future__ import annotations
@@ -38,18 +40,6 @@ class FactoredDen:
     @staticmethod
     def one() -> "FactoredDen":
         return FactoredDen(())
-
-    def poly(self) -> LaurentPoly:
-        """Expand prod (1 - q^m) to a LaurentPoly."""
-        return factor_product(self.factors)
-
-
-def factor_product(exponents) -> LaurentPoly:
-    """prod over m of (1 - q^m), as an honest polynomial."""
-    acc = LaurentPoly.one()
-    for m in exponents:
-        acc = acc.times_one_minus(m)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -79,11 +69,8 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        fc, gc = Counter(self.den.factors), Counter(other.den.factors)
-        union = fc | gc  # max multiplicity, no gcd against numerators
-        num = (self.num * factor_product((union - fc).elements())
-               + other.num * factor_product((union - gc).elements()))
-        return QRat(num, FactoredDen(tuple(union.elements())))
+        return union_sum([(self.num, self.den.factors),
+                          (other.num, other.den.factors)])
 
     __radd__ = __add__
 
@@ -118,9 +105,7 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den.poly() == other.num * self.den.poly()
+        return (self - other).num.is_zero
 
     def __hash__(self):
         raise TypeError("QRat is not hashable (equality is semantic)")
@@ -246,15 +231,14 @@ def poch_to_binom_check(r: int, d: int, k: int) -> bool:
     """Exact-identity check of the Pochhammer-to-binomial rewrite.
 
     The right side expands the binomial with (possibly) rational upper
-    index as prod_{j=0}^{k-1}(1 - q^{-r - d j}) / prod_{j=1}^{k}(1 - q^{d j}),
-    and the two sides are compared as rational functions by cross
-    multiplication.
+    index as prod_{j=0}^{k-1}(1 - q^{-r - d j}) / prod_{j=1}^{k}(1 - q^{d j}).
+    Both sides share the denominator (q^d; q^d)_k, so their numerators are
+    compared.
     """
     lhs_num = q_pochhammer(r, d, k)
     sign = -1 if k % 2 else 1
     rhs_num = (LaurentPoly.monomial(r * k + d * (k * (k - 1) // 2), sign)
                * q_pochhammer(-r, -d, k))
-    # both sides share the denominator (q^d; q^d)_k, so compare numerators
     return lhs_num == rhs_num
 
 

@@ -132,6 +132,13 @@ class TestClassical:
         alphas = {it["alpha"] for it in json.loads(out)["items"]}
         assert alphas == {"1/2", "3/4"}
 
+    def test_bad_alpha_exits_two(self, capsys):
+        for alpha in ("1/0", "x"):
+            code, out, err = run(capsys, "classical", "--alpha", alpha,
+                                 "--p-max", "7")
+            assert code == 2 and out == "", alpha
+            assert err.startswith("error:"), alpha
+
 
 class TestSpecial:
     def test_each_case(self, capsys):

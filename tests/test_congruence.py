@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,14 @@ from qcongruence.qcombinatorics import FactoredDen, QRat, q_integer
 
 def P(d):
     return LaurentPoly.from_dict(d)
+
+
+def den_product(exponents):
+    """prod over m of (1 - q^m), multiplied out one full product at a time."""
+    acc = LaurentPoly.one()
+    for m in exponents:
+        acc = acc * P({0: 1, m: -1})
+    return acc
 
 
 class TestResidueIndex:
@@ -127,9 +136,13 @@ class TestResidueRingDifferential:
         f, g = data.draw(_qrat(n)), data.draw(_qrat(n))
         if data.draw(st.booleans()):
             # g - f a multiple of Phi_n^k, so that both verdicts occur
-            g = f + QRat(data.draw(_laurent) * cyclotomic(n) ** k, f.den)
+            g = QRat(f.num + data.draw(_laurent) * cyclotomic(n) ** k, f.den)
         verdict = congruent_mod_phi(f, g, n, k)
-        delta = f.num * g.den.poly() - g.num * f.den.poly()
+        # the numerator of f - g over the max-multiplicity union denominator
+        fc, gc = Counter(f.den.factors), Counter(g.den.factors)
+        union = fc | gc
+        delta = (f.num * den_product((union - fc).elements())
+                 - g.num * den_product((union - gc).elements()))
         shift = -delta.low if delta.low < 0 else 0
         modulus = cyclotomic(n) ** k
         _, rem = delta.shift(shift).divrem(modulus)
@@ -165,6 +178,15 @@ class TestCongruentModPhi:
         f = QRat.monomial(2 * n)
         g = QRat.from_poly(P({n: 2, 0: -1}))
         assert congruent_mod_phi(f, g, n, 2).holds
+
+    def test_witness_is_over_the_union_denominator(self):
+        # 1/(1-q) - q/(1-q) = 1: over the shared denominator the numerator
+        # is 1 - q, not the cross product (1 - q)^2, whose remainder mod
+        # Phi_3 = 1 + q + q^2 is -3q
+        one_over = QRat(LaurentPoly.one(), FactoredDen((1,)))
+        q_over = QRat(LaurentPoly.monomial(1), FactoredDen((1,)))
+        v = congruent_mod_phi(one_over, q_over, 3, 1)
+        assert not v.holds and v.witness == P({0: 1, 1: -1})
 
     def test_failure_carries_witness(self):
         v = congruent_mod_phi(QRat.monomial(1), QRat.from_scalar(1), 5, 1)

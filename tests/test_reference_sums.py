@@ -1,15 +1,18 @@
 """The proof-step sums against their term-by-term QRat construction.
 
 The package builds every proof-step sum as one numerator over the
-max-multiplicity union of its denominators (``union_sum``) and every
-Gaussian binomial by one-factor exact division.  This module keeps the
-slow constructions as the reference: each sum added one QRat at a time
-with ``QRat.__add__``, and each Gaussian binomial as the long-division
-quotient of two Pochhammer products multiplied out term by term.  Over a
+max-multiplicity union of its denominators (``union_sum``), which QRat
+addition and equality also go through, and every Gaussian binomial by
+one-factor exact division.  This module keeps the slow constructions as
+the reference: each sum added one QRat at a time with ``ref_add``, the
+plain definition of a sum over the union denominator with multiplied-out
+factors, and each Gaussian binomial as the long-division quotient of two
+Pochhammer products multiplied out term by term.  Over a
 fixed denominator the numerator is unique, so the two must agree exactly,
 numerators and denominators, and every verdict must match witness and all.
 """
 
+from collections import Counter
 from functools import lru_cache
 from math import gcd
 
@@ -26,12 +29,26 @@ ONE = LaurentPoly.one()
 
 # -- reference constructions -----------------------------------------------
 
+def ref_den_product(exponents):
+    """prod over m of (1 - q^m), multiplied out one full product at a time."""
+    acc = ONE
+    for m in exponents:
+        acc = acc * (ONE - LaurentPoly.monomial(m))
+    return acc
+
+
 def ref_pochhammer(u, b, k):
     """(q^u; q^b)_k multiplied out one full product at a time."""
-    acc = ONE
-    for j in range(k):
-        acc = acc * (ONE - LaurentPoly.monomial(u + j * b))
-    return acc
+    return ref_den_product(u + j * b for j in range(k))
+
+
+def ref_add(f, g):
+    """f + g over the max-multiplicity union of the two denominators."""
+    fc, gc = Counter(f.den.factors), Counter(g.den.factors)
+    union = fc | gc
+    num = (f.num * ref_den_product((union - fc).elements())
+           + g.num * ref_den_product((union - gc).elements()))
+    return QRat(num, FactoredDen(tuple(union.elements())))
 
 
 @lru_cache(maxsize=None)
@@ -60,8 +77,8 @@ def ref_chu_tail(d, k, head, row):
     tail = QRat.zero()
     for j in range(1, k + 1):
         exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
-        tail = tail + QRat(head.shift(exp) * row[k - j] * (-1) ** j,
-                           FactoredDen((j * d,)))
+        tail = ref_add(tail, QRat(head.shift(exp) * row[k - j] * (-1) ** j,
+                                  FactoredDen((j * d,))))
     return tail
 
 
@@ -69,7 +86,7 @@ def ref_harmonic(d, terms):
     one_minus_qd = ONE - LaurentPoly.monomial(d)
     total = QRat.zero()
     for j, e in terms:
-        total = total + QRat(one_minus_qd.shift(e), FactoredDen((j * d,)))
+        total = ref_add(total, QRat(one_minus_qd.shift(e), FactoredDen((j * d,))))
     return total
 
 
@@ -84,7 +101,8 @@ def ref_double_sum(n, d, outer_top, inner_top):
     total = QRat.zero()
     for k in range(1, n):
         inner = ref_chu_tail(d, k, head, inner_row)
-        total = total + (inner * ref_gauss_binomial(outer_top, k, d)).shift(d * k * k)
+        total = ref_add(
+            total, (inner * ref_gauss_binomial(outer_top, k, d)).shift(d * k * k))
     return total
 
 
@@ -92,13 +110,15 @@ def ref_step_binom_shift(n, d, r, k):
     inst = theorems.derive_instance(n, d, r)
     row = [ref_gauss_binomial(inst.a, i, d) for i in range(k + 1)]
     head = ONE - LaurentPoly.monomial(inst.sdn)
-    rhs = QRat.from_poly(row[k].shift(inst.sdn * k)) - ref_chu_tail(d, k, head, row)
+    rhs = ref_add(QRat.from_poly(row[k].shift(inst.sdn * k)),
+                  -ref_chu_tail(d, k, head, row))
     return congruent_mod_phi(ref_binom_rational_index(r, d, k), rhs, n, 2)
 
 
 def ref_step_final2(n, d, a):
     rhs = ref_harmonic_tail(d, a, range(1, a + 1))
-    return ref_double_sum(n, d, a, -1 - a) == (-rhs if a % 2 else rhs)
+    return ref_add(ref_double_sum(n, d, a, -1 - a),
+                   rhs if a % 2 else -rhs).num.is_zero
 
 
 def ref_step_final3_final4(n, d, r):
@@ -134,7 +154,7 @@ def ref_equivalent_form_sum(n, d, r):
     acc = QRat.zero()
     for k in range(n):
         term = ref_binom_rational_index(r, d, k) * ref_binom_rational_index(d - r, d, k)
-        acc = acc + term.shift(d * k * k)
+        acc = ref_add(acc, term.shift(d * k * k))
     return acc
 
 
@@ -192,7 +212,7 @@ factor_lists = st.lists(st.integers(min_value=1, max_value=4), max_size=4)
 def test_union_sum_is_term_by_term_qrat_sum(terms):
     expected = QRat.zero()
     for num, factors in terms:
-        expected = expected + QRat(num, FactoredDen(tuple(factors)))
+        expected = ref_add(expected, QRat(num, FactoredDen(tuple(factors))))
     assert same(union_sum(terms), expected)
 
 
