@@ -6,34 +6,23 @@ polynomials, together with the classical q -> 1 statements modulo p^2.
 No floating point is used anywhere.
 """
 
-from .polyring import LaurentPoly, Q
+from .polyring import LaurentPoly
 from .cyclotomic import cyclotomic, euler_totient
 from .qcombinatorics import (
     FactoredDen,
     QRat,
-    binom_rational_index,
     gauss_binomial,
     poch_to_binom_check,
-    q_integer,
     q_pochhammer,
     qchu_check,
 )
-from .congruence import (
-    CongruenceDomainError,
-    Verdict,
-    congruent_mod_phi,
-    den_coprime_to_phi,
-    is_odd_prime,
-    legendre,
-    residue_index,
-)
+from .congruence import CongruenceDomainError, Verdict, congruent_mod_phi
 from .theorems import (
     SPECIAL_CASES,
     ClassicalInstance,
     TheoremInstance,
     derive_classical,
     derive_instance,
-    equivalent_form_sum,
     f21_truncated_classical,
     harmonic_full,
     harmonic_twisted,

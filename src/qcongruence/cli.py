@@ -116,11 +116,10 @@ def cmd_special(args) -> Report:
 def cmd_cyclotomic(args) -> Report:
     start = _now_ms()
     poly = cyclotomic(args.n)
-    coeffs = [int(c) for c in poly.coeffs]
     report = Report(["n", "degree", "coefficients"])
     report.items.append(ReportItem(
         {"n": args.n, "degree": poly.degree,
-         "coefficients": "[" + " ".join(str(c) for c in coeffs) + "]"},
+         "coefficients": "[" + " ".join(str(c) for c in poly.coeffs) + "]"},
         {"degree_is_totient": poly.degree == euler_totient(args.n)},
         [], ms=_now_ms() - start))
     return report

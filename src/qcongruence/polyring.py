@@ -1,11 +1,12 @@
-"""Exact Laurent polynomials in one variable q over the rationals.
+"""Exact Laurent polynomials in one variable q over the integers.
 
 A LaurentPoly is stored densely: an integer ``low`` (the exponent of the
 lowest term) and a tuple of coefficients, where ``coeffs[i]`` is the
-coefficient of ``q**(low + i)``.  Coefficients are Python ints or
-``fractions.Fraction``; all arithmetic is exact.  The zero polynomial is
-canonically ``low == 0, coeffs == ()``; for nonzero polynomials the first
-and last coefficients are nonzero.
+coefficient of ``q**(low + i)``.  Coefficients are Python ints; the ring
+operations take ints and LaurentPolys only (a rational operand raises
+TypeError), and only evaluation takes a rational point.  The zero
+polynomial is canonically ``low == 0, coeffs == ()``; for nonzero
+polynomials the first and last coefficients are nonzero.
 
 Everything here is immutable and safe to share between threads.
 """
@@ -13,15 +14,13 @@ Everything here is immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable
 
 
 class LaurentPoly:
     __slots__ = ("low", "coeffs")
 
-    def __init__(self, low: int, coeffs: Iterable[Scalar]):
+    def __init__(self, low: int, coeffs: Iterable[int]):
         if not isinstance(coeffs, (list, tuple)):
             coeffs = list(coeffs)
         # trim to canonical form
@@ -53,11 +52,11 @@ class LaurentPoly:
         return _ONE
 
     @staticmethod
-    def monomial(exp: int, coef: Scalar = 1) -> "LaurentPoly":
+    def monomial(exp: int, coef: int = 1) -> "LaurentPoly":
         return LaurentPoly(exp, (coef,))
 
     @staticmethod
-    def constant(c: Scalar) -> "LaurentPoly":
+    def constant(c: int) -> "LaurentPoly":
         return LaurentPoly(0, (c,))
 
     @staticmethod
@@ -84,7 +83,7 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return self.low + len(self.coeffs) - 1
 
-    def coefficient(self, exp: int) -> Scalar:
+    def coefficient(self, exp: int) -> int:
         i = exp - self.low
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -127,7 +126,7 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if other == 0:
                 return _ZERO
             return LaurentPoly(self.low, [c * other for c in self.coeffs])
@@ -229,7 +228,7 @@ class LaurentPoly:
                 a[i - db + j] -= c * b[j]
         return LaurentPoly(0, quo), LaurentPoly(0, a[:db])
 
-    def __call__(self, x: Scalar) -> Scalar:
+    def __call__(self, x: int | Fraction) -> int | Fraction:
         """Evaluate at a rational point (x != 0 when low < 0)."""
         if self.low < 0 and x == 0:
             raise ZeroDivisionError("evaluation at 0 with negative exponents")
@@ -274,7 +273,7 @@ class LaurentPoly:
 def _coerce(x):
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return LaurentPoly.constant(x) if x != 0 else _ZERO
     return NotImplemented
 

@@ -3,7 +3,7 @@ functions of q with structurally factored denominators.
 
 The only denominators ever needed are products of factors (1 - q^m); a
 QRat keeps that structure explicit instead of reducing to lowest terms
-(a rational constant lives in the numerator), which turns coprimality
+(a constant lives in the integer numerator), which turns coprimality
 with Phi_n into the purely arithmetic check "n divides no factor
 exponent m".
 
@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import LaurentPoly, Scalar
+from .polyring import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class FactoredDen:
 
 @dataclass(frozen=True)
 class QRat:
-    """Exact rational function num / prod(1 - q^m)."""
+    """Exact rational function num / prod(1 - q^m), num in Z[q, 1/q]."""
 
     num: LaurentPoly
     den: FactoredDen
@@ -54,11 +54,11 @@ class QRat:
         return QRat(p, FactoredDen.one())
 
     @staticmethod
-    def from_scalar(c: Scalar) -> "QRat":
+    def from_scalar(c: int) -> "QRat":
         return QRat(LaurentPoly.constant(c), FactoredDen.one())
 
     @staticmethod
-    def monomial(exp: int, coef: Scalar = 1) -> "QRat":
+    def monomial(exp: int, coef: int = 1) -> "QRat":
         return QRat(LaurentPoly.monomial(exp, coef), FactoredDen.one())
 
     @staticmethod
@@ -90,9 +90,7 @@ class QRat:
         return other + (-self)
 
     def __mul__(self, other) -> "QRat":
-        if isinstance(other, (int, Fraction)):
-            return QRat(self.num * other, self.den)
-        if isinstance(other, LaurentPoly):
+        if isinstance(other, (int, LaurentPoly)):
             return QRat(self.num * other, self.den)
         if not isinstance(other, QRat):
             return NotImplemented
@@ -114,7 +112,7 @@ class QRat:
         """Multiply by q**m."""
         return QRat(self.num.shift(m), self.den)
 
-    def value(self, x: Scalar) -> Fraction:
+    def value(self, x: int | Fraction) -> Fraction:
         """Evaluate at a rational point avoiding denominator zeros."""
         den = Fraction(1)
         for m in self.den.factors:
@@ -140,6 +138,9 @@ def union_sum(terms) -> QRat:
     for num, factors in terms:
         own = Counter(factors)
         if union and own.keys().isdisjoint(union):
+            # the running product pays off on sums of single-factor terms
+            # (_harmonic, _chu_tail): each new term takes the whole union
+            # in one multiply instead of one pass per factor
             num = num * product
         else:
             for m, c in union.items():
@@ -159,7 +160,7 @@ def _coerce(x):
         return x
     if isinstance(x, LaurentPoly):
         return QRat.from_poly(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return QRat.from_scalar(x) if x != 0 else QRat.zero()
     return NotImplemented
 

@@ -1,9 +1,9 @@
 """Truncated hypergeometric sums and the congruence verifiers built on them.
 
-The q-side objects live over the ring of Laurent polynomials with exact
-rational coefficients; every verdict comes from exact division by a
-cyclotomic power, never from numerics.  The classical (q -> 1) side works
-directly with arbitrary-precision rationals modulo p^2.
+The q-side objects are integer Laurent polynomials over products of
+(1 - q^m); every verdict comes from exact division by a cyclotomic
+power, never from numerics.  The classical (q -> 1) side works directly
+with arbitrary-precision rationals modulo p^2.
 
 The main statement and its corrected form are both claims about the same
 truncated sum S modulo Phi_n(q)^2.  Each verifier runs one Horner

@@ -229,10 +229,12 @@ def test_criterion_4_identity_suites():
     _report(4, "identity suites", failures, total)
 
 
-def test_criterion_5_proof_step_audit():
+def _proof_step_audit(ns):
+    """Run the six proof-step checks on n in ns, d = 2..6 coprime to n,
+    r = 1..d-1; returns (failures, expected, total, even_n_seen)."""
     failures, expected, total = [], [], 0
     even_n_seen = 0
-    for n in range(2, 13):
+    for n in ns:
         for d in range(2, 7):
             if gcd(n, d) != 1:
                 continue
@@ -256,11 +258,29 @@ def test_criterion_5_proof_step_audit():
                 # only the closing expansion inherits the literal failures
                 if not _literal_holds(n, d, r):
                     expected.append((n, d, r, "expansion"))
+    return failures, expected, total, even_n_seen
+
+
+def test_criterion_5_proof_step_audit():
+    failures, expected, total, even_n_seen = _proof_step_audit(range(2, 13))
     assert even_n_seen >= 3
     _report(5, "proof-step audit", failures, total, expected)
     assert total == 510 and len(failures) == 14
     assert (2, 3, 2, "expansion") in failures
     assert (4, 3, 1, "expansion") in failures
+
+
+def test_proof_step_audit_to_n_20():
+    # the criterion-5 audit continued over n = 13..20: 67 instances
+    failures, expected, total, _ = _proof_step_audit(range(13, 21))
+    _report(5, "proof-step audit, n = 13..20", failures, total, expected)
+    assert total == 402
+    assert sorted(failures) == [
+        (14, 3, 2, "expansion"), (14, 5, 2, "expansion"),
+        (14, 5, 4, "expansion"), (16, 3, 1, "expansion"),
+        (16, 5, 1, "expansion"), (16, 5, 3, "expansion"),
+        (18, 5, 3, "expansion"), (18, 5, 4, "expansion"),
+        (20, 3, 2, "expansion")]
 
 
 def _den_product(exponents):

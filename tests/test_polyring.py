@@ -109,6 +109,31 @@ class TestEval:
             LaurentPoly.monomial(-1)(0)
 
 
+class TestIntegerCoefficients:
+    """The ring takes int and LaurentPoly operands only; a rational point
+    is still fine for evaluation."""
+
+    def test_fraction_operand_raises(self):
+        f, half = P({-1: 2, 0: 1, 3: -1}), Fraction(1, 2)
+        for op in (lambda: f * half, lambda: half * f,
+                   lambda: f + half, lambda: half + f,
+                   lambda: f - half, lambda: half - f,
+                   lambda: LaurentPoly.one() * half,
+                   lambda: half - LaurentPoly.one()):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_int_operand_still_works(self):
+        f = P({-1: 2, 0: 1})
+        assert f * 3 == 3 * f == P({-1: 6, 0: 3})
+        assert f + 1 == 1 + f == P({-1: 2, 0: 2})
+        assert 1 - f == -(f - 1) == P({-1: -2})
+
+    def test_evaluation_at_rational_point(self):
+        assert LaurentPoly.monomial(-2)(Fraction(2, 3)) == Fraction(9, 4)
+        assert P({0: 1, 1: -1})(Fraction(2, 3)) == Fraction(1, 3)
+
+
 class TestCanonicalForm:
     def test_zero_unique(self):
         assert LaurentPoly(7, (0, 0)) == LaurentPoly.zero()

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -120,6 +121,29 @@ class TestQRatArithmetic:
         f, g = q_integer(m1, 1), q_integer(m2, 2)
         assert (f + g).value(x) == f.value(x) + g.value(x)
         assert (f * g).value(x) == f.value(x) * g.value(x)
+
+
+class TestQRatIntegerNumerators:
+    """QRat numerators stay in Z[q, 1/q]: a rational scalar is refused,
+    while evaluation at a rational point works."""
+
+    def test_fraction_operand_raises(self):
+        f, half = q_integer(3, 2), Fraction(1, 2)
+        for op in (lambda: f * half, lambda: half * f,
+                   lambda: f + half, lambda: half + f,
+                   lambda: QRat.from_poly(LaurentPoly.one()) + half):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_int_operand_still_works(self):
+        f = q_integer(3, 2)
+        assert f * 2 == 2 * f == f + f
+        assert (f + 1).value(2) == f.value(2) + 1
+
+    def test_evaluation_at_rational_point(self):
+        assert LaurentPoly.monomial(-2)(Fraction(2, 3)) == Fraction(9, 4)
+        # [3]_{q^2} = 1 + q^2 + q^4 at q = 2/3
+        assert q_integer(3, 2).value(Fraction(2, 3)) == Fraction(133, 81)
 
 
 class TestRationalIndexBinomial:
