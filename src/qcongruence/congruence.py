@@ -2,14 +2,14 @@
 small amount of elementary number theory the statements need.
 
 A congruence f == g (mod Phi_n^k) between QRats with denominators
-invertible modulo Phi_n is decided on the numerator Delta of f - g over
-the max-multiplicity union of the two denominators (``union_sum``): that
-denominator is a unit modulo Phi_n, so the congruence holds exactly when
-Phi_n^k divides Delta.  Since Phi_n^k divides (q^n - 1)^k, Delta is
-folded into the residue ring Z[q]/((q^n - 1)^k) (``Residue``), where q is
-a unit and every element is k vectors of length n.  The verdict is the
-remainder of the folded Delta, a polynomial of degree < k n, under exact
-division by the monic polynomial Phi_n^k.
+invertible modulo Phi_n (checked on their factor exponents) is decided on
+the numerator Delta of f - g over the max-multiplicity union of the two
+denominators (``union_sum``), a unit modulo Phi_n: the congruence holds
+exactly when Phi_n^k divides Delta.  Since Phi_n^k divides (q^n - 1)^k,
+Delta is folded into the residue ring Z[q]/((q^n - 1)^k) (``Residue``),
+where q is a unit and every element is k vectors of length n.  The
+verdict is the remainder of the folded Delta, a polynomial of degree
+< k n, under exact division by the monic polynomial Phi_n^k.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .cyclotomic import cyclotomic
 from .polyring import LaurentPoly
-from .qcombinatorics import FactoredDen, QRat, union_sum
+from .qcombinatorics import QRat, union_sum
 
 
 class CongruenceDomainError(ValueError):
@@ -84,13 +84,6 @@ def legendre(m: int, p: int) -> int:
         return 0
     v = pow(m, (p - 1) // 2, p)
     return 1 if v == 1 else -1
-
-
-def den_coprime_to_phi(den: FactoredDen, n: int) -> bool:
-    """Phi_n divides (1 - q^m) iff n | m, so the check is structural."""
-    if n < 1:
-        raise ValueError("modulus index must be >= 1")
-    return all(m % n != 0 for m in den.factors)
 
 
 # -- the residue ring Z[q]/((q^n - 1)^k) ------------------------------------
@@ -191,7 +184,8 @@ def congruent_mod_phi(f: QRat, g: QRat, n: int, k: int) -> Verdict:
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     for side, name in ((f, "left"), (g, "right")):
-        if not den_coprime_to_phi(side.den, n):
+        # Phi_n divides (1 - q^m) exactly when n divides m
+        if any(m % n == 0 for m in side.den.factors):
             raise CongruenceDomainError(
                 f"{name} denominator shares a factor with Phi_{n}")
     delta = union_sum([(f.num, f.den.factors), (-g.num, g.den.factors)])

@@ -21,6 +21,7 @@ class LaurentPoly:
     __slots__ = ("low", "coeffs")
 
     def __init__(self, low: int, coeffs: Iterable[int]):
+        # no per-coefficient type check: it slows the proof audit by 20-30 %
         if not isinstance(coeffs, (list, tuple)):
             coeffs = list(coeffs)
         # trim to canonical form

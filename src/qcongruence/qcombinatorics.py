@@ -2,10 +2,10 @@
 functions of q with structurally factored denominators.
 
 The only denominators ever needed are products of factors (1 - q^m); a
-QRat keeps that structure explicit instead of reducing to lowest terms
-(a constant lives in the integer numerator), which turns coprimality
-with Phi_n into the purely arithmetic check "n divides no factor
-exponent m".
+QRat keeps that structure explicit instead of reducing to lowest terms,
+so that ``congruence.congruent_mod_phi`` reads coprimality with Phi_n off
+the factor exponents.  A constant lives in the integer numerator, and
+without a denominator (the empty product) QRat(p) is the polynomial p.
 
 Products and quotients by (1 - q^m) are single passes over a coefficient
 list (``LaurentPoly.times_one_minus``/``div_one_minus``): Pochhammer
@@ -37,33 +37,25 @@ class FactoredDen:
             raise ValueError("denominator factor exponents must be >= 1")
         object.__setattr__(self, "factors", tuple(sorted(self.factors)))
 
-    @staticmethod
-    def one() -> "FactoredDen":
-        return FactoredDen(())
-
 
 @dataclass(frozen=True)
 class QRat:
     """Exact rational function num / prod(1 - q^m), num in Z[q, 1/q]."""
 
     num: LaurentPoly
-    den: FactoredDen
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "QRat":
-        return QRat(p, FactoredDen.one())
+    den: FactoredDen = FactoredDen(())  # the empty product
 
     @staticmethod
     def from_scalar(c: int) -> "QRat":
-        return QRat(LaurentPoly.constant(c), FactoredDen.one())
+        return QRat(LaurentPoly.constant(c))
 
     @staticmethod
     def monomial(exp: int, coef: int = 1) -> "QRat":
-        return QRat(LaurentPoly.monomial(exp, coef), FactoredDen.one())
+        return QRat(LaurentPoly.monomial(exp, coef))
 
     @staticmethod
     def zero() -> "QRat":
-        return QRat(LaurentPoly.zero(), FactoredDen.one())
+        return QRat(LaurentPoly.zero())
 
     def __add__(self, other) -> "QRat":
         other = _coerce(other)
@@ -159,9 +151,9 @@ def _coerce(x):
     if isinstance(x, QRat):
         return x
     if isinstance(x, LaurentPoly):
-        return QRat.from_poly(x)
+        return QRat(x)
     if isinstance(x, int):
-        return QRat.from_scalar(x) if x != 0 else QRat.zero()
+        return QRat.from_scalar(x)
     return NotImplemented
 
 
@@ -208,8 +200,6 @@ def gauss_binomial(N: int, k: int, b: int = 1) -> LaurentPoly:
     For N >= 0 this is the usual polynomial (zero when k > N); for N < 0
     it is a Laurent polynomial.  Built by ``gauss_binomial_row``.
     """
-    if 0 <= N < k:
-        return LaurentPoly.zero()
     return gauss_binomial_row(N, k, b)[-1]
 
 

@@ -6,7 +6,6 @@ nondeterministic field is the per-item timing in milliseconds.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
@@ -57,40 +56,32 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2) + "\n"
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        header = self.columns + ["flags", "checks", "ms", "status"]
-        buf.write(",".join(header) + "\n")
-        for it in self.items:
-            flags = ";".join(it.flags + (["skipped"] if it.skipped else []))
-            checks = ";".join(f"{k}={'pass' if v else 'fail'}"
-                              for k, v in it.checks.items())
-            status = "skip" if it.skipped else ("pass" if it.passed else "fail")
-            row = [str(it.fields.get(c, "")) for c in self.columns]
-            row += [flags, checks, str(it.ms), status]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
-
-    def to_text(self) -> str:
-        buf = io.StringIO()
+    def _table(self, ok: str, fail: str, sep: str, failed: str):
+        """Header and rows of the text and CSV tables: ok and fail mark a
+        check, sep joins the checks, failed is a failed item's status."""
         header = self.columns + ["flags", "checks", "ms", "status"]
         rows = []
         for it in self.items:
             flags = ";".join(it.flags + (["skipped"] if it.skipped else []))
-            checks = " ".join(f"{k}:{'ok' if v else 'FAIL'}"
-                              for k, v in it.checks.items())
-            status = "skip" if it.skipped else ("pass" if it.passed else "FAIL")
+            checks = sep.join(k + (ok if v else fail) for k, v in it.checks.items())
+            status = "skip" if it.skipped else ("pass" if it.passed else failed)
             rows.append([str(it.fields.get(c, "")) for c in self.columns]
                         + [flags, checks, str(it.ms), status])
-        widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows
-                  else len(header[i]) for i in range(len(header))]
-        buf.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-        for r in rows:
-            buf.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+        return header, rows
+
+    def to_csv(self) -> str:
+        header, rows = self._table("=pass", "=fail", ";", "fail")
+        return "".join(",".join(row) + "\n" for row in [header] + rows)
+
+    def to_text(self) -> str:
+        header, rows = self._table(":ok", ":FAIL", " ", "FAIL")
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                 for row in [header] + rows]
         s = self.summary
-        buf.write(f"total {s['total']}  passed {s['passed']}  "
-                  f"failed {s['failed']}  skipped {s['skipped']}\n")
-        return buf.getvalue()
+        lines.append(f"total {s['total']}  passed {s['passed']}  "
+                     f"failed {s['failed']}  skipped {s['skipped']}")
+        return "".join(line + "\n" for line in lines)
 
     def render(self, fmt: str) -> str:
         if fmt == "text":

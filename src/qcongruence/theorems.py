@@ -121,17 +121,19 @@ def phi21_truncated(u: int, v: int, w: int, b: int, c: int, N: int) -> QRat:
 
 
 def equivalent_form_sum(n: int, d: int, r: int) -> QRat:
-    """sum_{k=0}^{n-1} q^{d k^2} [-r/d choose k] [(r-d)/d choose k] in base
-    q^d, each binomial materialized through the Pochhammer rewrite.
+    """sum_{k=0}^{n-1} q^{d k^2} [-r/d, k] [(r-d)/d, k] in base q^d, both
+    binomials from [N, k] = [N, k-1] (1 - q^{d(N-k+1)}) / (1 - q^{d k}).
 
     Identical (not just congruent) to phi21_truncated(r, d-r, d, d, 0, n).
     """
     derive_instance(n, d, r)  # validate parameters
 
     def terms():
+        num, factors = LaurentPoly.one(), ()
         for k in range(n):
-            term = binom_rational_index(r, d, k) * binom_rational_index(d - r, d, k)
-            yield term.num.shift(d * k * k), term.den.factors
+            yield num.shift(d * k * k), factors
+            num = num.times_one_minus(-r - d * k).times_one_minus(r - d - d * k)
+            factors += (d * (k + 1), d * (k + 1))
 
     return union_sum(terms())
 
@@ -309,7 +311,7 @@ def harmonic_full(n: int, d: int) -> Verdict:
     if gcd(n, d) != 1:
         raise ValueError(f"gcd({n}, {d}) != 1")
     lhs = _harmonic(d, ((j, 0) for j in range(1, n)))
-    rhs = QRat.from_poly(LaurentPoly.from_dict({0: n - 1, d: 1 - n}))
+    rhs = QRat(LaurentPoly.from_dict({0: n - 1, d: 1 - n}))
     return congruent_mod_phi(lhs * 2, rhs, n, 1)
 
 
@@ -323,7 +325,7 @@ def harmonic_twisted(n: int, d: int, a: int) -> Verdict:
         raise ValueError("need 0 <= a <= n - 1")
     lhs = _harmonic(d, ((j, d * (a + 1) * j) for j in range(1, n)))
     c2 = 2 * a + 1 - n
-    rhs = QRat.from_poly(LaurentPoly.from_dict({0: c2, d: -c2}))
+    rhs = QRat(LaurentPoly.from_dict({0: c2, d: -c2}))
     return congruent_mod_phi(lhs * 2, rhs, n, 1)
 
 
@@ -344,7 +346,7 @@ def step_expansion(n: int, d: int, r: int) -> Verdict:
     c2 = 2 * a + 1 - n
     # by arithmetic, so that sdn = 0 (r = 0) leaves the constant 2
     rhs = LaurentPoly.constant(2 + c2) - LaurentPoly.monomial(sdn, c2)
-    return congruent_mod_phi(QRat.monomial(e_exp, 2), QRat.from_poly(rhs), n, 2)
+    return congruent_mod_phi(QRat.monomial(e_exp, 2), QRat(rhs), n, 2)
 
 
 def verify_proof_consistent_form(n: int, d: int, r: int) -> Verdict:

@@ -210,6 +210,36 @@ class TestReportObjects:
                                "skipped": 1}
         assert rep.failed == 1
 
+    def test_text_and_csv_rendering(self):
+        rep = Report(["n", "d", "r"])
+        rep.items.append(ReportItem({"n": 5, "d": 3, "r": 1},
+                                    {"theorem": True, "expansion": True}, ms=2))
+        rep.items.append(ReportItem({"n": 4, "d": 3, "r": 1},
+                                    {"theorem": False, "expansion": True}, ms=17))
+        rep.items.append(ReportItem({"n": 6, "d": 5}, {}, ["degenerate"],
+                                    skipped=True))
+        rep.items.append(ReportItem({"n": 10, "d": 3, "r": 3}, {"theorem": True},
+                                    ["degenerate"]))
+        assert rep.to_text() == (
+            "n   d  r  flags               checks                     ms  status\n"
+            "5   3  1                      theorem:ok expansion:ok    2   pass\n"
+            "4   3  1                      theorem:FAIL expansion:ok  17  FAIL\n"
+            "6   5     degenerate;skipped                             0   skip\n"
+            "10  3  3  degenerate          theorem:ok                 0   pass\n"
+            "total 4  passed 2  failed 1  skipped 1\n")
+        assert rep.to_csv() == (
+            "n,d,r,flags,checks,ms,status\n"
+            "5,3,1,,theorem=pass;expansion=pass,2,pass\n"
+            "4,3,1,,theorem=fail;expansion=pass,17,fail\n"
+            "6,5,,degenerate;skipped,,0,skip\n"
+            "10,3,3,degenerate,theorem=pass,0,pass\n")
+
+    def test_empty_report_rendering(self):
+        assert Report(["x"]).to_text() == (
+            "x  flags  checks  ms  status\n"
+            "total 0  passed 0  failed 0  skipped 0\n")
+        assert Report(["x"]).to_csv() == "x,flags,checks,ms,status\n"
+
     def test_unknown_format_rejected(self):
         import pytest
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from qcongruence.congruence import (
     CongruenceDomainError,
     Verdict,
     congruent_mod_phi,
-    den_coprime_to_phi,
     fold_mod_binomial_power,
     is_odd_prime,
     legendre,
@@ -84,8 +83,13 @@ class TestLegendre:
 
 class TestDenCoprime:
     def test_structural_rule(self):
-        assert den_coprime_to_phi(FactoredDen((2, 3, 7)), 5)
-        assert not den_coprime_to_phi(FactoredDen((2, 10)), 5)
+        coprime = QRat(LaurentPoly.one(), FactoredDen((2, 3, 7)))
+        assert congruent_mod_phi(coprime, coprime, 5, 1).holds
+        shared = QRat(LaurentPoly.one(), FactoredDen((2, 10)))
+        with pytest.raises(CongruenceDomainError, match="left denominator"):
+            congruent_mod_phi(shared, QRat.zero(), 5, 1)
+        with pytest.raises(CongruenceDomainError, match="right denominator"):
+            congruent_mod_phi(QRat.zero(), shared, 5, 1)
 
     def test_agrees_with_polynomial_gcd(self):
         # Phi_n | (1 - q^m) iff n | m; verify by actual division
@@ -176,7 +180,7 @@ class TestCongruentModPhi:
         # q^(2n) == 2 q^n - 1 mod (q^n-1)^2 hence mod Phi_n^2
         n = 5
         f = QRat.monomial(2 * n)
-        g = QRat.from_poly(P({n: 2, 0: -1}))
+        g = QRat(P({n: 2, 0: -1}))
         assert congruent_mod_phi(f, g, n, 2).holds
 
     def test_witness_is_over_the_union_denominator(self):

@@ -110,7 +110,7 @@ def ref_step_binom_shift(n, d, r, k):
     inst = theorems.derive_instance(n, d, r)
     row = [ref_gauss_binomial(inst.a, i, d) for i in range(k + 1)]
     head = ONE - LaurentPoly.monomial(inst.sdn)
-    rhs = ref_add(QRat.from_poly(row[k].shift(inst.sdn * k)),
+    rhs = ref_add(QRat(row[k].shift(inst.sdn * k)),
                   -ref_chu_tail(d, k, head, row))
     return congruent_mod_phi(ref_binom_rational_index(r, d, k), rhs, n, 2)
 
@@ -130,14 +130,14 @@ def ref_step_final3_final4(n, d, r):
 
 def ref_harmonic_full(n, d):
     lhs = ref_harmonic(d, ((j, 0) for j in range(1, n)))
-    rhs = QRat.from_poly(LaurentPoly.from_dict({0: n - 1, d: 1 - n}))
+    rhs = QRat(LaurentPoly.from_dict({0: n - 1, d: 1 - n}))
     return congruent_mod_phi(lhs * 2, rhs, n, 1)
 
 
 def ref_harmonic_twisted(n, d, a):
     lhs = ref_harmonic(d, ((j, d * (a + 1) * j) for j in range(1, n)))
     c2 = 2 * a + 1 - n
-    rhs = QRat.from_poly(LaurentPoly.from_dict({0: c2, d: -c2}))
+    rhs = QRat(LaurentPoly.from_dict({0: c2, d: -c2}))
     return congruent_mod_phi(lhs * 2, rhs, n, 1)
 
 
@@ -147,7 +147,7 @@ def ref_step_expansion(n, d, r):
     e_exp = sdn * (n - 1 - 2 * a) // 2
     c2 = 2 * a + 1 - n
     rhs = LaurentPoly.constant(2 + c2) - LaurentPoly.monomial(sdn, c2)
-    return congruent_mod_phi(QRat.monomial(e_exp, 2), QRat.from_poly(rhs), n, 2)
+    return congruent_mod_phi(QRat.monomial(e_exp, 2), QRat(rhs), n, 2)
 
 
 def ref_equivalent_form_sum(n, d, r):
@@ -195,6 +195,24 @@ def test_proof_steps_match_reference(n):
             if n <= 8:
                 assert same(theorems.equivalent_form_sum(n, d, r),
                             ref_equivalent_form_sum(n, d, r)), where
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_equivalent_form_sum_matches_reference(n):
+    """The running-numerator binomial products against the term-by-term
+    Pochhammer rewrite, numerator and denominator, on d = 2..7 coprime to
+    n and r = 0..2d, the degenerate r = 0, d, 2d included."""
+    for d in range(2, 8):
+        if gcd(n, d) != 1:
+            continue
+        for r in range(0, 2 * d + 1):
+            assert same(theorems.equivalent_form_sum(n, d, r),
+                        ref_equivalent_form_sum(n, d, r)), (n, d, r)
+
+
+def test_equivalent_form_sum_at_30_7_2():
+    assert theorems.equivalent_form_sum(30, 7, 2) == \
+        theorems.phi21_truncated(2, 5, 7, 7, 0, 30)
 
 
 # -- the union-denominator sum and the Gaussian binomial kernel ------------

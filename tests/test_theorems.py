@@ -137,7 +137,7 @@ class TestMainTheorem:
             folded = verify_proof_consistent_form(n, d, r)
             exact = congruent_mod_phi(
                 QRat(lhs.num * 2, lhs.den),
-                QRat.from_poly(corrected * inst.sign), n, 2)
+                QRat(corrected * inst.sign), n, 2)
             assert (folded.holds, folded.witness) == \
                 (exact.holds, exact.witness), (n, d, r)
 
