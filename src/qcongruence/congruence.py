@@ -5,11 +5,13 @@ A congruence f == g (mod Phi_n^k) between QRats with denominators
 invertible modulo Phi_n (checked on their factor exponents) is decided on
 the numerator Delta of f - g over the max-multiplicity union of the two
 denominators (``union_sum``), a unit modulo Phi_n: the congruence holds
-exactly when Phi_n^k divides Delta.  Since Phi_n^k divides (q^n - 1)^k,
-Delta is folded into the residue ring Z[q]/((q^n - 1)^k) (``Residue``),
-where q is a unit and every element is k vectors of length n.  The
+exactly when Phi_n^k divides Delta.  Delta is folded into the residue
+ring Z[q]/((q^N - eps)^k) (``Residue``), (N, eps) = (n/2, -1) for even n
+and (n, 1) for odd n, the least binomial modulus that Phi_n^k divides;
+there q is a unit and every element is k vectors of length N.  The
 verdict is the remainder of the folded Delta, a polynomial of degree
-< k n, under exact division by the monic polynomial Phi_n^k.
+< k N, under exact division by the monic polynomial Phi_n^k, which does
+not depend on the multiple of Phi_n^k that the ring is built on.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add, sub
 from typing import Optional, Union
 
 from .cyclotomic import cyclotomic
@@ -86,7 +89,7 @@ def legendre(m: int, p: int) -> int:
     return 1 if v == 1 else -1
 
 
-# -- the residue ring Z[q]/((q^n - 1)^k) ------------------------------------
+# -- the residue ring Z[q]/((q^N - eps)^k) ----------------------------------
 
 def _binom(M: int, j: int) -> int:
     """The coefficient of t^j in (1 + t)^M, for any integer M."""
@@ -94,18 +97,23 @@ def _binom(M: int, j: int) -> int:
 
 
 class Residue:
-    """An element sum_{j<k} t^j c_j(q) of Z[q]/((q^n - 1)^k), t = q^n - 1.
+    """An element sum_{j<k} t^j c_j(q) of Z[q]/((q^N - eps)^k), t = q^N - eps.
 
-    ``c`` is a list of k coefficient lists of length n, ``c[j][i]`` being
-    the coefficient of t^j q^i.  Because q^n = 1 + t, multiplying by q^m
-    with m = M n + s is a rotation by s whose wrapped part carries into
-    the next power of t, followed by the truncated binomial (1 + t)^M.
+    (N, eps) is (n/2, -1) for even n and (n, 1) for odd n, so for even n
+    every vector is half as long as in Z[q]/((q^n - 1)^k).  ``c`` is a
+    list of k coefficient lists of length N, ``c[j][i]`` being the
+    coefficient of t^j q^i.  Because q^N = eps + t, multiplying by q^m
+    with m = M N + s is a rotation by s whose wrapped part picks up the
+    factor eps and carries into the next power of t, followed by the
+    truncated binomial (eps + t)^M.
     """
 
-    __slots__ = ("n", "k", "c")
+    __slots__ = ("n", "k", "c", "N", "eps")
 
     def __init__(self, n: int, k: int, c: list):
         self.n, self.k, self.c = n, k, c
+        # q^N - eps is the least binomial that Phi_n divides
+        self.N, self.eps = (n // 2, -1) if n % 2 == 0 else (n, 1)
 
     def __add__(self, other: "Residue") -> "Residue":
         return Residue(self.n, self.k, [[x + y for x, y in zip(a, b)]
@@ -118,17 +126,22 @@ class Residue:
     def __mul__(self, scalar) -> "Residue":
         return Residue(self.n, self.k, [[scalar * x for x in a] for a in self.c])
 
-    def shift(self, m: int) -> "Residue":
-        """Multiply by q^m (m may be negative)."""
-        big, s = divmod(m, self.n)
+    def _times_q(self, m: int) -> tuple:
+        """(sign, c): q^m times this element is sign times the element with
+        coefficient lists c; sign = eps^M is left to the caller to absorb."""
+        eps = self.eps
+        big, s = divmod(m, self.N)
         c = self.c
         if s:
-            cut = self.n - s
-            c = [c[0][cut:] + c[0][:cut]] + [
-                [x + y for x, y in zip(hi[cut:], lo[cut:])] + hi[:cut]
+            cut = self.N - s
+            # x t^j q^N = eps x t^j + x t^(j+1) for each wrapped coefficient x
+            top = c[0][cut:] if eps > 0 else [-x for x in c[0][cut:]]
+            wrap = add if eps > 0 else sub
+            c = [top + c[0][:cut]] + [
+                list(map(wrap, lo[cut:], hi[cut:])) + hi[:cut]
                 for lo, hi in zip(c, c[1:])]
         if big:
-            binoms = [_binom(big, j) for j in range(self.k)]
+            binoms = [_binom(big, j) * eps ** (j % 2) for j in range(self.k)]
             out = []
             for j, cj in enumerate(c):
                 for i in range(j):
@@ -137,22 +150,31 @@ class Residue:
                         cj = [x + b * y for x, y in zip(cj, c[i])]
                 out.append(cj)
             c = out
-        return Residue(self.n, self.k, c)
+        return eps ** (big % 2), c
+
+    def shift(self, m: int) -> "Residue":
+        """Multiply by q^m (m may be negative)."""
+        sign, c = self._times_q(m)
+        out = Residue(self.n, self.k, c)
+        return out if sign > 0 else out * -1
 
     def times_one_minus(self, m: int) -> "Residue":
         """Multiply by the factor (1 - q^m)."""
-        return self - self.shift(m)
+        sign, c = self._times_q(m)
+        other = Residue(self.n, self.k, c)
+        return self - other if sign > 0 else self + other
 
     def poly(self) -> LaurentPoly:
-        """The representative sum_j c_j(q) (q^n - 1)^j, of degree < k n."""
+        """The representative sum_j c_j(q) (q^N - eps)^j, of degree < k N."""
         acc = LaurentPoly.zero()
         for cj in reversed(self.c):
-            acc = acc.shift(self.n) - acc + LaurentPoly(0, cj)
+            acc = acc.shift(self.N) + (-acc if self.eps > 0 else acc) \
+                + LaurentPoly(0, cj)
         return acc
 
     def verdict(self) -> Verdict:
         """Decide whether this element vanishes modulo Phi_n^k, which
-        divides (q^n - 1)^k."""
+        divides (q^N - eps)^k."""
         rem = self.poly()
         if rem.coeffs:
             rem = rem.divrem(cyclotomic(self.n) ** self.k)[1]
@@ -160,20 +182,29 @@ class Residue:
 
 
 def fold_mod_binomial_power(p: LaurentPoly, n: int, k: int) -> Residue:
-    """Reduce the Laurent polynomial p into Z[q]/((q^n - 1)^k).
+    """Reduce the Laurent polynomial p into Z[q]/((q^N - eps)^k).
 
     Horner's rule in q^n over blocks of n coefficients, starting at the
-    multiple of n at or below p.low.
+    multiple of n at or below p.low; a block lo + q^N hi enters as
+    (lo + eps hi) + t hi, hi being empty for odd n.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     big, s = divmod(p.low, n)
     coeffs = [0] * s + list(p.coeffs)
-    acc = Residue(n, k, [[0] * n for _ in range(k)])
+    coeffs += [0] * (-len(coeffs) % n)
+    acc = Residue(n, k, [])
+    N = acc.N
+    acc.c = [[0] * N for _ in range(k)]
     for start in reversed(range(0, len(coeffs), n)):
-        acc = acc.shift(n)
-        block = coeffs[start:start + n]
-        acc.c[0] = [x + y for x, y in zip(acc.c[0], block)] + acc.c[0][len(block):]
+        c = acc._times_q(n)[1]  # q^n = (eps + t)^(n/N) has sign +1
+        lo, hi = coeffs[start:start + N], coeffs[start + N:start + n]
+        c[0] = list(map(add, c[0], lo))
+        if hi:  # even n, eps = -1
+            c[0] = list(map(sub, c[0], hi))
+            if k > 1:
+                c[1] = list(map(add, c[1], hi))
+        acc.c = c
     return acc.shift(big * n)
 
 

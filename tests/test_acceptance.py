@@ -10,6 +10,7 @@ computation of the literal congruence, the two tests that are not
 criteria.
 """
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -83,15 +84,22 @@ def _criterion_1_grid(n_max):
 
 def test_criterion_1_main_congruence_sweep():
     failures, expected, total = [], [], 0
+    witnesses = hashlib.sha256()
     for n, d, r in _criterion_1_grid(40):
         total += 1
-        if not verify_theorem(n, d, r).holds:
+        verdict = verify_theorem(n, d, r)
+        if not verdict.holds:
             failures.append((n, d, r))
+            w = verdict.witness
+            witnesses.update(repr((n, d, r, w.low, w.coeffs)).encode())
         if not _literal_holds(n, d, r):
             expected.append((n, d, r))
     _report(1, "main congruence sweep", failures, total, expected)
     assert total == 1984 and len(failures) == 306
     assert (2, 3, 2) in failures and (4, 3, 1) in failures
+    # each witness is the remainder mod Phi_n^2 of the numerator of
+    # S - (-1)^a q^e over S's denominator, whatever ring decides it
+    assert witnesses.hexdigest()[:16] == "fb73de72aef38223"
 
 
 def test_smallest_counterexample_by_hand():

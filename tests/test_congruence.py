@@ -110,8 +110,26 @@ class TestFolding:
         shifted = diff.shift(-diff.low) if diff.low < 0 else diff
         if shifted.is_zero:
             return
-        _, rem = shifted.divrem(P({n: 1, 0: -1}) ** k)
+        # modulo the ring's modulus (q^N - eps)^k
+        _, rem = shifted.divrem(P({folded.N: 1, 0: -folded.eps}) ** k)
         assert rem.is_zero
+
+    def test_ring_modulus_is_a_multiple_of_phi_power(self):
+        # the verdict reads the remainder mod Phi_n^k of a ring element,
+        # so Phi_n^k must divide the ring's modulus (q^N - eps)^k
+        for n in range(1, 61):
+            for k in (1, 2, 3):
+                ring = fold_mod_binomial_power(LaurentPoly.one(), n, k)
+                modulus = P({ring.N: 1, 0: -ring.eps}) ** k
+                _, rem = modulus.divrem(cyclotomic(n) ** k)
+                assert rem.is_zero, (n, k)
+
+    def test_even_n_vectors_have_half_length(self):
+        # (N, eps) = (n/2, -1) for even n, (n, 1) for odd n
+        for n, N, eps in ((2, 1, -1), (12, 6, -1), (30, 15, -1), (5, 5, 1), (9, 9, 1)):
+            folded = fold_mod_binomial_power(P({0: 1, 3 * n + 1: -2}), n, 2)
+            assert (folded.N, folded.eps) == (N, eps), n
+            assert [len(row) for row in folded.c] == [N, N], n
 
     def test_degree_bound(self):
         f = P({0: 1, 37: 2, 100: -3})

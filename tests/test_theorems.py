@@ -115,31 +115,47 @@ class TestMainTheorem:
                         (7, 6, 1), (11, 3, 2), (13, 5, 3), (2, 3, 4)]:
             assert verify_theorem(n, d, r).holds, (n, d, r)
 
+    @staticmethod
+    def _folded_and_exact(n, d, r):
+        """Both forms, each decided on the folded path and on the exact
+        oracle: the sum as a rational function, decided by
+        congruent_mod_phi, against the literal and the corrected
+        right-hand side.  The denominator of phi21_truncated is
+        ((q^d;q^d)_{n-1})^2, the one the folded accumulator carries, so
+        both paths reduce the same ring element: witnesses agree too."""
+        inst = derive_instance(n, d, r)
+        lhs = phi21_truncated(r, d - r, d, d, 0, n)
+        literal = QRat.monomial(inst.e, inst.sign)
+        folded = verify_theorem(n, d, r)
+        exact = congruent_mod_phi(lhs, literal, n, 2)
+        assert (folded.holds, folded.witness) == \
+            (exact.holds, exact.witness), (n, d, r)
+        # the corrected form, both sides times 2
+        c2 = 2 * inst.a + 1 - n
+        corrected = LaurentPoly.from_dict({0: 2 + c2}) \
+            - LaurentPoly.monomial(inst.sdn, c2)
+        corrected = corrected.shift(-d * (inst.a * (inst.a + 1) // 2))
+        folded_c = verify_proof_consistent_form(n, d, r)
+        exact_c = congruent_mod_phi(
+            QRat(lhs.num * 2, lhs.den),
+            QRat(corrected * inst.sign), n, 2)
+        assert (folded_c.holds, folded_c.witness) == \
+            (exact_c.holds, exact_c.witness), (n, d, r)
+        return folded.holds, folded_c.holds
+
     def test_folded_and_exact_paths_agree(self):
-        # oracle: the sum as an exact rational function, decided by
-        # congruent_mod_phi, against both the literal and the corrected
-        # right-hand side.  The denominator of phi21_truncated is
-        # ((q^d;q^d)_{n-1})^2, the one the folded accumulator carries, so
-        # both paths reduce the same ring element: witnesses agree too.
         for n, d, r in grid(9, 6, 6, include_degenerate=True):
-            inst = derive_instance(n, d, r)
-            lhs = phi21_truncated(r, d - r, d, d, 0, n)
-            literal = QRat.monomial(inst.e, inst.sign)
-            folded = verify_theorem(n, d, r)
-            exact = congruent_mod_phi(lhs, literal, n, 2)
-            assert (folded.holds, folded.witness) == \
-                (exact.holds, exact.witness), (n, d, r)
-            # the corrected form, both sides times 2
-            c2 = 2 * inst.a + 1 - n
-            corrected = LaurentPoly.from_dict({0: 2 + c2}) \
-                - LaurentPoly.monomial(inst.sdn, c2)
-            corrected = corrected.shift(-d * (inst.a * (inst.a + 1) // 2))
-            folded = verify_proof_consistent_form(n, d, r)
-            exact = congruent_mod_phi(
-                QRat(lhs.num * 2, lhs.den),
-                QRat(corrected * inst.sign), n, 2)
-            assert (folded.holds, folded.witness) == \
-                (exact.holds, exact.witness), (n, d, r)
+            self._folded_and_exact(n, d, r)
+
+    @pytest.mark.parametrize("n,d,r", [
+        (24, 7, 2), (24, 5, 2), (22, 7, 3), (22, 5, 1), (20, 7, 4), (22, 3, 1)])
+    def test_folded_and_exact_paths_agree_even_n(self, n, d, r):
+        # the folded path stops updating the term once it vanishes, past
+        # max(a, n-1-a), here far from n-1; the literal form fails and
+        # the corrected one holds on these instances
+        a = derive_instance(n, d, r).a
+        assert n - 1 - max(a, n - 1 - a) >= 7
+        assert self._folded_and_exact(n, d, r) == (False, True)
 
     @pytest.mark.parametrize("n", [97, 98, 100, 128])
     def test_large_n_follows_even_n_rule(self, n):
