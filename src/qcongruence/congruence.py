@@ -16,10 +16,10 @@ not depend on the multiple of Phi_n^k that the ring is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import add, sub
+from types import GeneratorType
 from typing import Optional, Union
 
 from .cyclotomic import cyclotomic
@@ -31,23 +31,49 @@ class CongruenceDomainError(ValueError):
     """A precondition violation (not a false verdict)."""
 
 
-@dataclass(frozen=True)
 class Verdict:
     """Holds exactly when it carries neither a witness (a nonzero
     residue) nor a reason (why a failure has no residue).
 
     The witness of a failed congruence f == g (mod Phi_n^k) is the
     remainder mod Phi_n^k of the folded numerator of f - g over the
-    union of the two denominators (``congruent_mod_phi``)."""
+    union of the two denominators (``congruent_mod_phi``).  A generator
+    may stand in for the witness: its next value is taken on the first
+    read of ``witness`` and kept, and ``holds`` and ``bool`` never read
+    it.  Verdicts are immutable and compare by their four fields."""
 
-    holds: bool
-    modulus_power: int
-    witness: Optional[LaurentPoly] = None
-    reason: Optional[str] = None
+    __slots__ = ("holds", "modulus_power", "_witness", "reason")
 
-    def __post_init__(self):
-        if self.holds != (self.witness is None and self.reason is None):
+    def __init__(self, holds: bool, modulus_power: int,
+                 witness: Optional[LaurentPoly] = None,
+                 reason: Optional[str] = None):
+        if holds != (witness is None and reason is None):
             raise ValueError("a verdict fails exactly with a witness or reason")
+        for name, value in zip(self.__slots__,
+                               (holds, modulus_power, witness, reason)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Verdict is immutable")
+
+    @property
+    def witness(self) -> Optional[LaurentPoly]:
+        if isinstance(self._witness, GeneratorType):
+            object.__setattr__(self, "_witness", next(self._witness))
+        return self._witness
+
+    def _fields(self) -> tuple:
+        return self.holds, self.modulus_power, self.witness, self.reason
+
+    def __eq__(self, other):
+        return isinstance(other, Verdict) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("Verdict(holds=%r, modulus_power=%r, witness=%r, reason=%r)"
+                % self._fields())
 
     def __bool__(self) -> bool:
         return self.holds
@@ -163,6 +189,11 @@ class Residue:
         sign, c = self._times_q(m)
         other = Residue(self.n, self.k, c)
         return self - other if sign > 0 else self + other
+
+    def plus_t_times(self, u: "Residue") -> "Residue":
+        """This element plus t u, u in the ring with one power of t fewer."""
+        return Residue(self.n, self.k, self.c[:1] + [
+            list(map(add, a, b)) for a, b in zip(self.c[1:], u.c)])
 
     def poly(self) -> LaurentPoly:
         """The representative sum_j c_j(q) (q^N - eps)^j, of degree < k N."""

@@ -157,8 +157,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # square only while bits remain
+                base = base * base
         return result
 
     def shift(self, t: int) -> "LaurentPoly":

@@ -9,11 +9,13 @@ The main statement and its corrected form are both claims about the same
 truncated sum S modulo Phi_n(q)^2.  Each verifier runs one Horner
 accumulator of the difference (c S - rhs) D, D the sum's denominator, in
 the residue ring Z[q]/((q^N - eps)^2) of ``congruence``: no intermediate
-exceeds size 2N, and D is never formed on its own.  The sum has a
-natural truncation: its term (q^r;q^d)_k (q^{d-r};q^d)_k is zero in the
-ring past k = max(a, n-1-a), where each Pochhammer symbol has met its
-factor (1 - q^m) with n | m; later steps multiply only by units modulo
-Phi_n, so a holding verdict is decided there.  The test suite checks
+exceeds size 2N, and D is never formed on its own.  The term
+(q^r;q^d)_k (q^{d-r};q^d)_k first meets a factor (1 - q^m) with n | m at
+k = min(a, n-1-a) + 1, and from there it is t u, t = q^N - eps.  It is
+zero in the ring past k = max(a, n-1-a), where each Pochhammer symbol
+has met such a factor; later steps multiply only by units modulo Phi_n,
+so the verdict is decided there, and a failing verdict's witness, that
+of the whole sum, is computed when it is read.  The test suite checks
 both, witnesses included, against the rational function ``phi21_truncated``.
 """
 
@@ -142,23 +144,34 @@ def _folded_verdict(c: Residue, rhs: Residue, d: int, r: int) -> Verdict:
     phi21_truncated(r, d-r, d, d, 0, n), its denominator D =
     ((q^d;q^d)_{n-1})^2 and a constant c.  Horner's rule over the terms
     of S: D multiplies rhs by the factors (1 - q^{dk})^2 that multiply the
-    running sum, so the accumulator starts at c - rhs.  A failing verdict
-    runs past the natural truncation, so that its witness is that of the
-    whole (c S - rhs) D."""
-    acc, term = c - rhs, c
-    for k in range(1, c.n):
-        acc = acc.times_one_minus(d * k).times_one_minus(d * k)
-        if term is None:
-            continue
-        term = term.times_one_minus(r + d * (k - 1)).times_one_minus(
-            d - r + d * (k - 1))
-        if any(map(any, term.c)):
-            acc = acc + term
-        elif acc.verdict():
-            return Verdict(True, 2)
-        else:
-            term = None
-    return acc.verdict()
+    running sum, so the accumulator starts at c - rhs.  From the first
+    term divisible by Phi_n, at k = min(a, n-1-a) + 1, the term is t u
+    with u one vector of Z[q]/(q^N - eps), which needs no carry.  The
+    verdict is decided at the natural truncation, past which acc meets
+    only units mod Phi_n.  A failing verdict's witness is that of the
+    whole (c S - rhs) D, computed by resuming the loop when it is read."""
+    def steps():
+        acc, term = c - rhs, c
+        for k in range(1, c.n):
+            acc = acc.times_one_minus(d * k).times_one_minus(d * k)
+            if term is None:
+                continue
+            term = term.times_one_minus(r + d * (k - 1)).times_one_minus(
+                d - r + d * (k - 1))
+            if term.k == 2 and not any(term.c[0]):  # Phi_n | term: t u
+                term = Residue(c.n, 1, term.c[1:])
+            if any(map(any, term.c)):
+                acc = acc + term if term.k == 2 else acc.plus_t_times(term)
+            else:  # the natural truncation
+                term = None
+                yield acc.verdict().holds  # resumed only after False
+        final = acc.verdict()
+        if term is not None:  # no natural truncation before k = n - 1
+            yield final.holds
+        yield final.witness
+
+    run = steps()
+    return Verdict(True, 2) if next(run) else Verdict(False, 2, run)
 
 
 def verify_theorem(n: int, d: int, r: int) -> Verdict:

@@ -55,6 +55,27 @@ class TestMul:
         assert (f * g).low == f.low + g.low
 
 
+class TestPow:
+    @pytest.mark.parametrize("k", range(7))
+    def test_square_and_multiply(self, monkeypatch, k):
+        # x ** k is the k-fold product, and it squares only while bits of
+        # k remain: at most 2 bit_length(k) - 1 multiplications
+        x = P({0: 1, 1: -2, 3: 1})
+        expected = LaurentPoly.one()
+        for _ in range(k):
+            expected = expected * x
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        assert x ** k == expected
+        assert len(calls) <= max(0, 2 * k.bit_length() - 1)
+
+
 class TestShift:
     def test_down(self):
         assert P({0: 1, 1: 1}).shift(-1) == P({-1: 1, 0: 1})

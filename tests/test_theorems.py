@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from qcongruence.congruence import congruent_mod_phi
+from qcongruence.congruence import Residue, Verdict, congruent_mod_phi
 from qcongruence.polyring import LaurentPoly
 from qcongruence.qcombinatorics import QRat
 from qcongruence.theorems import (
@@ -198,6 +199,69 @@ class TestMainTheorem:
         rhs = QRat.monomial(inst.e, inst.sign)
         brute = congruent_mod_phi(lhs, rhs, 2, 2)
         assert verify_theorem(2, 3, 3).holds == brute.holds == False  # noqa: E712
+
+    @staticmethod
+    def _count_ring_factors(monkeypatch):
+        """Count Residue.times_one_minus calls: two per Horner step for
+        the accumulator, two more while the term is nonzero."""
+        calls = []
+        times_one_minus = Residue.times_one_minus
+
+        def counting(self, m):
+            calls.append(m)
+            return times_one_minus(self, m)
+
+        monkeypatch.setattr(Residue, "times_one_minus", counting)
+        return calls
+
+    @pytest.mark.parametrize("r,holds", [(1, False), (2, True)])
+    def test_verdict_returns_at_natural_truncation(self, monkeypatch, r, holds):
+        # at n = 400, d = 3 the term vanishes in the ring after step
+        # max(a, n-1-a) + 1 = 267 for r = 1 (a = 133) and r = 2 (a = 266),
+        # and both verdicts return there; reading a failure's witness
+        # resumes the same loop to k = n - 1, once
+        calls = self._count_ring_factors(monkeypatch)
+        n, inst = 400, derive_instance(400, 3, r)
+        stop = max(inst.a, n - 1 - inst.a) + 1
+        v = verify_theorem(n, 3, r)
+        assert v.holds == holds and len(calls) == 4 * stop
+        if holds:
+            assert v.witness is None and len(calls) == 4 * stop
+            return
+        w = v.witness
+        assert isinstance(w, LaurentPoly) and not w.is_zero
+        assert len(calls) == 2 * (n - 1) + 2 * stop
+        assert v.witness is w and len(calls) == 2 * (n - 1) + 2 * stop
+
+    def test_deferred_witness_is_read_once_and_compares_equal(self, monkeypatch):
+        calls = self._count_ring_factors(monkeypatch)
+        v = verify_theorem(98, 3, 2)
+        before = len(calls)
+        assert not bool(v) and not v.holds and v.modulus_power == 2
+        assert len(calls) == before  # neither bool nor holds reads it
+        w = v.witness
+        assert len(calls) > before
+        assert v.witness == w and v == Verdict(False, 2, w)
+        assert verify_theorem(98, 3, 2) == Verdict(False, 2, w)
+        assert hash(v) == hash(Verdict(False, 2, w))
+
+    def test_both_forms_digest_with_degenerate_r(self):
+        # every verdict and witness of both forms on n = 2..30, d = 2..8
+        # coprime, r = 1..3d (d | r included), pinned across rewrites of
+        # the Horner loop
+        def w(v):
+            return None if v.witness is None else (v.witness.low, v.witness.coeffs)
+
+        digest, count = hashlib.sha256(), 0
+        for n, d, r in grid(30, 8, 24, include_degenerate=True):
+            if r > 3 * d:
+                continue
+            v = verify_theorem(n, d, r)
+            u = verify_proof_consistent_form(n, d, r)
+            digest.update(repr((n, d, r, v.holds, w(v), u.holds, w(u))).encode())
+            count += 1
+        assert count == 1791
+        assert digest.hexdigest()[:16] == "d5d02aa87b8739de"
 
     def test_proof_consistent_form_holds_everywhere(self):
         for n, d, r in grid(10, 6, 6):
