@@ -19,16 +19,14 @@ from qcongruence import (
     verify_classical,
     verify_special_case,
 )
-from qcongruence.congruence import is_odd_prime, legendre
+from qcongruence.congruence import legendre
+from qcongruence.theorems import special_case_primes
 
 # q-side special cases: sign = Legendre(m | p), e = coef * (1 - p^2).
 print("special cases at small primes:")
 for label, (d, leg_arg, coef) in sorted(SPECIAL_CASES.items()):
-    min_p = 3 if label == "qmor2" else 5
     verdicts = []
-    for p in range(min_p, 24):
-        if not is_odd_prime(p) or p == d or d % p == 0:
-            continue
+    for p in special_case_primes(label, 23):
         inst = derive_instance(p, d, 1)
         assert inst.sign == legendre(leg_arg, p)
         assert inst.e == coef * (1 - p * p)

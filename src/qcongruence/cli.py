@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import theorems
-from .congruence import CongruenceDomainError, is_odd_prime
+from .congruence import is_odd_prime
 from .cyclotomic import cyclotomic, euler_totient
 from .report import Report, ReportItem
 
@@ -98,11 +98,8 @@ def cmd_classical(args) -> Report:
 
 def cmd_special(args) -> Report:
     d, _, _ = theorems.SPECIAL_CASES[args.case]
-    min_p = 3 if args.case == "qmor2" else 5
     report = Report(["case", "p", "a", "e", "sign"])
-    for p in range(min_p, args.p_max + 1):
-        if not is_odd_prime(p) or gcd(p, d) != 1:
-            continue
+    for p in theorems.special_case_primes(args.case, args.p_max):
         start = _now_ms()
         inst = theorems.derive_instance(p, d, 1)
         verdict = theorems.verify_special_case(args.case, p)
@@ -164,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classical", help="check the q -> 1 congruences mod p^2")
     p.add_argument("--alpha", action="append", required=True,
-                   help="rational alpha, e.g. 1/2 (repeatable or comma list)")
+                   help="rational alpha, e.g. 1/2 (repeatable or comma "
+                        "list); write a negative one as --alpha=-1/2")
     p.add_argument("--p-max", type=int, required=True)
     add_format(p)
     p.set_defaults(func=cmd_classical)
@@ -193,7 +191,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         report = args.func(args)
-    except (ValueError, CongruenceDomainError) as exc:
+    except ValueError as exc:  # CongruenceDomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.render(args.format))

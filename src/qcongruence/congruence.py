@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import add, sub
-from types import GeneratorType
 from typing import Optional, Union
 
 from .cyclotomic import cyclotomic
@@ -37,10 +36,11 @@ class Verdict:
 
     The witness of a failed congruence f == g (mod Phi_n^k) is the
     remainder mod Phi_n^k of the folded numerator of f - g over the
-    union of the two denominators (``congruent_mod_phi``).  A generator
-    may stand in for the witness: its next value is taken on the first
-    read of ``witness`` and kept, and ``holds`` and ``bool`` never read
-    it.  Verdicts are immutable and compare by their four fields."""
+    union of the two denominators (``congruent_mod_phi``).  A pure
+    function may stand in for it, called on the first read of ``witness``
+    (never by ``holds`` or ``bool``), so concurrent first reads agree;
+    pickling computes it.  Verdicts are immutable and compare by their
+    four fields."""
 
     __slots__ = ("holds", "modulus_power", "_witness", "reason")
 
@@ -58,9 +58,15 @@ class Verdict:
 
     @property
     def witness(self) -> Optional[LaurentPoly]:
-        if isinstance(self._witness, GeneratorType):
-            object.__setattr__(self, "_witness", next(self._witness))
-        return self._witness
+        w = self._witness
+        # a LaurentPoly is callable too (evaluation), so tell them by type
+        if w is not None and not isinstance(w, LaurentPoly):
+            w = w()
+            object.__setattr__(self, "_witness", w)
+        return w
+
+    def __reduce__(self):
+        return Verdict, self._fields()
 
     def _fields(self) -> tuple:
         return self.holds, self.modulus_power, self.witness, self.reason

@@ -42,6 +42,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly, (self.low, self.coeffs)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

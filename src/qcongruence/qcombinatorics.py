@@ -46,10 +46,6 @@ class QRat:
     den: FactoredDen = FactoredDen(())  # the empty product
 
     @staticmethod
-    def from_scalar(c: int) -> "QRat":
-        return QRat(LaurentPoly.constant(c))
-
-    @staticmethod
     def monomial(exp: int, coef: int = 1) -> "QRat":
         return QRat(LaurentPoly.monomial(exp, coef))
 
@@ -153,7 +149,7 @@ def _coerce(x):
     if isinstance(x, LaurentPoly):
         return QRat(x)
     if isinstance(x, int):
-        return QRat.from_scalar(x)
+        return QRat(LaurentPoly.constant(x))
     return NotImplemented
 
 

@@ -14,9 +14,9 @@ exceeds size 2N, and D is never formed on its own.  The term
 k = min(a, n-1-a) + 1, and from there it is t u, t = q^N - eps.  It is
 zero in the ring past k = max(a, n-1-a), where each Pochhammer symbol
 has met such a factor; later steps multiply only by units modulo Phi_n,
-so the verdict is decided there, and a failing verdict's witness, that
-of the whole sum, is computed when it is read.  The test suite checks
-both, witnesses included, against the rational function ``phi21_truncated``.
+so the verdict is decided there; a failing verdict's witness, that of
+the whole sum, multiplies in those units when it is read.  The test
+suite checks both, witnesses included, against ``phi21_truncated``.
 """
 
 from __future__ import annotations
@@ -147,31 +147,30 @@ def _folded_verdict(c: Residue, rhs: Residue, d: int, r: int) -> Verdict:
     running sum, so the accumulator starts at c - rhs.  From the first
     term divisible by Phi_n, at k = min(a, n-1-a) + 1, the term is t u
     with u one vector of Z[q]/(q^N - eps), which needs no carry.  The
-    verdict is decided at the natural truncation, past which acc meets
-    only units mod Phi_n.  A failing verdict's witness is that of the
-    whole (c S - rhs) D, computed by resuming the loop when it is read."""
-    def steps():
-        acc, term = c - rhs, c
-        for k in range(1, c.n):
-            acc = acc.times_one_minus(d * k).times_one_minus(d * k)
-            if term is None:
-                continue
-            term = term.times_one_minus(r + d * (k - 1)).times_one_minus(
-                d - r + d * (k - 1))
-            if term.k == 2 and not any(term.c[0]):  # Phi_n | term: t u
-                term = Residue(c.n, 1, term.c[1:])
-            if any(map(any, term.c)):
-                acc = acc + term if term.k == 2 else acc.plus_t_times(term)
-            else:  # the natural truncation
-                term = None
-                yield acc.verdict().holds  # resumed only after False
-        final = acc.verdict()
-        if term is not None:  # no natural truncation before k = n - 1
-            yield final.holds
-        yield final.witness
+    loop stops at the natural truncation, where the term is zero in the
+    ring, and decides there: later steps multiply acc only by units mod
+    Phi_n, and a failing verdict's witness multiplies them in on read."""
+    acc, term = c - rhs, c
+    for k in range(1, c.n):
+        acc = acc.times_one_minus(d * k).times_one_minus(d * k)
+        term = term.times_one_minus(r + d * (k - 1)).times_one_minus(
+            d - r + d * (k - 1))
+        if term.k == 2 and not any(term.c[0]):  # Phi_n | term: t u
+            term = Residue(c.n, 1, term.c[1:])
+        if not any(map(any, term.c)):  # the natural truncation
+            break
+        acc = acc + term if term.k == 2 else acc.plus_t_times(term)
+    verdict = acc.verdict()
+    if verdict.holds or k == c.n - 1:  # no witness, or no factor to defer
+        return verdict
 
-    run = steps()
-    return Verdict(True, 2) if next(run) else Verdict(False, 2, run)
+    def witness() -> LaurentPoly:
+        rest = acc
+        for j in range(k + 1, c.n):
+            rest = rest.times_one_minus(d * j).times_one_minus(d * j)
+        return rest.verdict().witness
+
+    return Verdict(False, 2, witness)
 
 
 def verify_theorem(n: int, d: int, r: int) -> Verdict:
@@ -193,18 +192,22 @@ SPECIAL_CASES = {
 }
 
 
+def special_case_primes(label: str, p_max: int) -> list:
+    """The primes p <= p_max at which a special case is stated: the odd
+    primes from 5 on, from 3 on for qmor2 (none of them divides d)."""
+    if label not in SPECIAL_CASES:
+        raise ValueError(f"unknown special case {label!r}")
+    return [p for p in range(3 if label == "qmor2" else 5, p_max + 1)
+            if is_odd_prime(p)]
+
+
 def verify_special_case(label: str, p: int) -> Verdict:
     """Check the main congruence at (p, d, 1) for d in {2, 3, 4, 6} and
     additionally that the derived sign and exponent match the closed
     forms Legendre(m | p) and coef * (1 - p^2)."""
-    if label not in SPECIAL_CASES:
-        raise ValueError(f"unknown special case {label!r}")
+    if p not in special_case_primes(label, p):
+        raise ValueError(f"{label} is not stated at p = {p}")
     d, leg_arg, coef = SPECIAL_CASES[label]
-    min_p = 3 if label == "qmor2" else 5
-    if p < min_p or not is_odd_prime(p):
-        raise ValueError(f"{label} requires an odd prime p >= {min_p}")
-    if gcd(p, d) != 1:
-        raise ValueError(f"p = {p} shares a factor with d = {d}")
     inst = derive_instance(p, d, 1)
     e_closed = coef * (1 - p * p)
     if e_closed.denominator != 1:

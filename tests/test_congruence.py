@@ -180,14 +180,14 @@ class TestCongruentModPhi:
         # q^n == 1 mod Phi_n, but not mod Phi_n^2 for n > 1
         for n in (2, 3, 4, 6, 12):
             f = QRat.monomial(n)
-            one = QRat.from_scalar(1)
+            one = QRat(LaurentPoly.constant(1))
             assert congruent_mod_phi(f, one, n, 1).holds
             assert not congruent_mod_phi(f, one, n, 2).holds
 
     def test_qhalf_n_is_minus_one(self):
         for n in (2, 4, 6, 10):
             assert congruent_mod_phi(
-                QRat.monomial(n // 2), QRat.from_scalar(-1), n, 1).holds
+                QRat.monomial(n // 2), QRat(LaurentPoly.constant(-1)), n, 1).holds
 
     def test_q_integer_of_multiple_vanishes(self):
         # [2n] / [2] has Phi_n as a factor
@@ -211,7 +211,7 @@ class TestCongruentModPhi:
         assert not v.holds and v.witness == P({0: 1, 1: -1})
 
     def test_failure_carries_witness(self):
-        v = congruent_mod_phi(QRat.monomial(1), QRat.from_scalar(1), 5, 1)
+        v = congruent_mod_phi(QRat.monomial(1), QRat(LaurentPoly.constant(1)), 5, 1)
         assert not v.holds and v.witness is not None
         assert not bool(v)
 

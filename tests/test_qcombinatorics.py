@@ -26,7 +26,7 @@ class TestQInteger:
         assert q_integer(3, 1) == QRat(P({0: 1, 1: 1, 2: 1}))
 
     def test_unit(self):
-        assert q_integer(1, 4) == QRat.from_scalar(1)
+        assert q_integer(1, 4) == QRat(LaurentPoly.constant(1))
 
     def test_base_three(self):
         assert q_integer(2, 3) == QRat(P({0: 1, 3: 1}))
@@ -98,7 +98,7 @@ class TestQRatArithmetic:
 
     def test_mul_one(self):
         f = q_integer(-2, 3)
-        assert f * QRat.from_scalar(1) == f
+        assert f * QRat(LaurentPoly.constant(1)) == f
 
     def test_harmonic_two_terms(self):
         # 1/[1] + 1/[2] = (1 - q^2 + 1 - q) / ((1-q)(1-q^2)) up to representation

@@ -1,4 +1,7 @@
+import copy
 import hashlib
+import pickle
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -74,12 +77,12 @@ class TestDeriveInstance:
 
 class TestPhi21Truncated:
     def test_single_term(self):
-        assert phi21_truncated(1, 2, 3, 3, 0, 1) == QRat.from_scalar(1)
+        assert phi21_truncated(1, 2, 3, 3, 0, 1) == QRat(LaurentPoly.constant(1))
 
     def test_degenerate_sum_is_one(self):
         # u a multiple of the base: every k >= 1 term vanishes
         for n in (2, 3, 5):
-            assert phi21_truncated(3, 0, 3, 3, 0, n) == QRat.from_scalar(1)
+            assert phi21_truncated(3, 0, 3, 3, 0, n) == QRat(LaurentPoly.constant(1))
 
     def test_value_against_direct_summation(self):
         # independent term-by-term Fraction evaluation at a rational point
@@ -195,7 +198,7 @@ class TestMainTheorem:
         # first principles
         inst = derive_instance(2, 3, 3)
         lhs = phi21_truncated(3, 0, 3, 3, 0, 2)
-        assert lhs == QRat.from_scalar(1)
+        assert lhs == QRat(LaurentPoly.constant(1))
         rhs = QRat.monomial(inst.e, inst.sign)
         brute = congruent_mod_phi(lhs, rhs, 2, 2)
         assert verify_theorem(2, 3, 3).holds == brute.holds == False  # noqa: E712
@@ -244,6 +247,44 @@ class TestMainTheorem:
         assert v.witness == w and v == Verdict(False, 2, w)
         assert verify_theorem(98, 3, 2) == Verdict(False, 2, w)
         assert hash(v) == hash(Verdict(False, 2, w))
+
+    def test_concurrent_first_reads_of_a_witness_agree(self):
+        # two threads released together both read the deferred witness
+        # of one fresh failing verdict; neither may fail and both agree
+        v = verify_theorem(400, 3, 1)
+        barrier, results, errors = threading.Barrier(2), [], []
+
+        def read():
+            try:
+                barrier.wait(timeout=60)
+                results.append((v.witness, hash(v)))
+            except Exception as exc:  # reported below, in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(results) == 2
+        assert results[0] == results[1] and results[0][0] is not None
+
+    @pytest.mark.parametrize("dup", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("make", [
+        lambda: LaurentPoly(-2, [3, 0, -1]),
+        lambda: phi21_truncated(1, 2, 3, 3, 0, 4),
+        lambda: verify_theorem(5, 3, 1),
+        lambda: verify_theorem(98, 3, 2),  # its witness not yet read
+        lambda: Verdict(False, 2, reason="no residue"),
+    ], ids=["laurent_poly", "qrat", "holding", "deferred", "reason_only"])
+    def test_round_trips_through_pickle_and_copy(self, make, dup):
+        original, twin = make(), dup(make())
+        assert type(twin) is type(original) and twin == original
+        if isinstance(original, Verdict):
+            assert twin.witness == original.witness and hash(twin) == hash(original)
 
     def test_both_forms_digest_with_degenerate_r(self):
         # every verdict and witness of both forms on n = 2..30, d = 2..8
