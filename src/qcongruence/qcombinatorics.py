@@ -1,5 +1,5 @@
-"""q-integers, q-Pochhammer symbols, Gaussian binomials, and rational
-functions of q with structurally factored denominators.
+"""q-Pochhammer symbols, Gaussian binomials, and rational functions of q
+with structurally factored denominators.
 
 The only denominators ever needed are products of factors (1 - q^m); a
 QRat keeps that structure explicit instead of reducing to lowest terms,
@@ -20,30 +20,56 @@ QRat addition, subtraction and equality go through it, and so does
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .polyring import LaurentPoly
 
 
-@dataclass(frozen=True)
 class FactoredDen:
-    """A multiset of factors (1 - q^m), standing for their product."""
+    """A multiset of factors (1 - q^m), standing for their product, as the
+    sorted tuple of the exponents m >= 1.  Immutable."""
 
-    factors: tuple  # sorted tuple of positive ints, one entry per factor
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if any(m < 1 for m in self.factors):
+    def __init__(self, factors: tuple):
+        factors = tuple(sorted(factors))
+        if factors and factors[0] < 1:
             raise ValueError("denominator factor exponents must be >= 1")
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FactoredDen is immutable")
+
+    def __reduce__(self):
+        return FactoredDen, (self.factors,)
+
+    def __eq__(self, other):
+        return isinstance(other, FactoredDen) and self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
+
+    def __repr__(self):
+        return f"FactoredDen(factors={self.factors!r})"
 
 
-@dataclass(frozen=True)
 class QRat:
-    """Exact rational function num / prod(1 - q^m), num in Z[q, 1/q]."""
+    """Exact rational function num / prod(1 - q^m), num in Z[q, 1/q].
+    Immutable; equality is semantic (``union_sum``)."""
 
-    num: LaurentPoly
-    den: FactoredDen = FactoredDen(())  # the empty product
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: FactoredDen = FactoredDen(())):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QRat is immutable")
+
+    def __reduce__(self):
+        return QRat, (self.num, self.den)
+
+    def __repr__(self):
+        return f"QRat(num={self.num!r}, den={self.den!r})"
 
     @staticmethod
     def monomial(exp: int, coef: int = 1) -> "QRat":
@@ -100,15 +126,6 @@ class QRat:
         """Multiply by q**m."""
         return QRat(self.num.shift(m), self.den)
 
-    def value(self, x: int | Fraction) -> Fraction:
-        """Evaluate at a rational point avoiding denominator zeros."""
-        den = Fraction(1)
-        for m in self.den.factors:
-            den *= 1 - Fraction(x) ** m
-        if den == 0:
-            raise ZeroDivisionError(f"denominator vanishes at q={x}")
-        return Fraction(self.num(x)) / den
-
 
 def union_sum(terms) -> QRat:
     """The sum of num / prod_{m in factors} (1 - q^m) over the pairs
@@ -151,16 +168,6 @@ def _coerce(x):
     if isinstance(x, int):
         return QRat(LaurentPoly.constant(x))
     return NotImplemented
-
-
-def q_integer(m: int, b: int = 1) -> QRat:
-    """[m]_{q^b} = (1 - q^{mb}) / (1 - q^b) for nonzero integer m."""
-    if m == 0:
-        raise ValueError("q_integer is undefined at m = 0; use a zero QRat")
-    if b < 1:
-        raise ValueError("base exponent must be >= 1")
-    num = LaurentPoly.from_dict({0: 1, m * b: -1})
-    return QRat(num, FactoredDen((b,)))
 
 
 def q_pochhammer(u: int, b: int, k: int) -> LaurentPoly:

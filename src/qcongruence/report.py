@@ -7,27 +7,29 @@ nondeterministic field is the per-item timing in milliseconds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 
-@dataclass
 class ReportItem:
-    fields: Dict[str, Any]          # identity columns, insertion-ordered
-    checks: Dict[str, bool]         # check name -> verdict
-    flags: List[str] = field(default_factory=list)
-    ms: int = 0
-    skipped: bool = False
+    """One row: identity ``fields`` and ``checks`` (name -> verdict)."""
+
+    def __init__(self, fields: Dict[str, Any], checks: Dict[str, bool],
+                 flags: Optional[List[str]] = None, ms: int = 0,
+                 skipped: bool = False):
+        self.fields, self.checks, self.ms, self.skipped = fields, checks, ms, skipped
+        self.flags = [] if flags is None else flags
 
     @property
     def passed(self) -> bool:
         return not self.skipped and all(self.checks.values())
 
 
-@dataclass
 class Report:
-    columns: List[str]              # names of the identity columns
-    items: List[ReportItem] = field(default_factory=list)
+    """Items under the names of their identity columns."""
+
+    def __init__(self, columns: List[str], items: Optional[list] = None):
+        self.columns = columns
+        self.items = [] if items is None else items
 
     @property
     def summary(self) -> Dict[str, int]:

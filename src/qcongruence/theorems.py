@@ -11,20 +11,20 @@ accumulator of the difference (c S - rhs) D, D the sum's denominator, in
 the residue ring Z[q]/((q^N - eps)^2) of ``congruence``: no intermediate
 exceeds size 2N, and D is never formed on its own.  The term
 (q^r;q^d)_k (q^{d-r};q^d)_k first meets a factor (1 - q^m) with n | m at
-k = min(a, n-1-a) + 1, and from there it is t u, t = q^N - eps.  It is
-zero in the ring past k = max(a, n-1-a), where each Pochhammer symbol
-has met such a factor; later steps multiply only by units modulo Phi_n,
-so the verdict is decided there; a failing verdict's witness, that of
-the whole sum, multiplies in those units when it is read.  The test
-suite checks both, witnesses included, against ``phi21_truncated``.
+k1 = min(a, n-1-a) + 1, and from there it is t u, t = q^N - eps; the
+verdict fails there unless Phi_n divides the accumulator's first digit
+acc mod t, and when that digit is 0 the loop goes on with one vector.
+The term is zero in the ring past max(a, n-1-a); later steps multiply
+only by units modulo Phi_n, so the verdict is decided there.  A failing
+verdict's witness, that of the whole sum, is computed when it is read.
+Tests check both, witnesses included, against ``phi21_truncated``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 from .congruence import (
     CongruenceDomainError,
@@ -46,8 +46,7 @@ from .qcombinatorics import (
 )
 
 
-@dataclass(frozen=True)
-class TheoremInstance:
+class TheoremInstance(NamedTuple):
     """One (n, d, r) verification unit with its derived quantities.
 
     a is the residue index of -r/d modulo n; sd is the integer with
@@ -144,29 +143,42 @@ def _folded_verdict(c: Residue, rhs: Residue, d: int, r: int) -> Verdict:
     phi21_truncated(r, d-r, d, d, 0, n), its denominator D =
     ((q^d;q^d)_{n-1})^2 and a constant c.  Horner's rule over the terms
     of S: D multiplies rhs by the factors (1 - q^{dk})^2 that multiply the
-    running sum, so the accumulator starts at c - rhs.  From the first
-    term divisible by Phi_n, at k = min(a, n-1-a) + 1, the term is t u
-    with u one vector of Z[q]/(q^N - eps), which needs no carry.  The
-    loop stops at the natural truncation, where the term is zero in the
-    ring, and decides there: later steps multiply acc only by units mod
-    Phi_n, and a failing verdict's witness multiplies them in on read."""
-    acc, term = c - rhs, c
-    for k in range(1, c.n):
-        acc = acc.times_one_minus(d * k).times_one_minus(d * k)
-        term = term.times_one_minus(r + d * (k - 1)).times_one_minus(
-            d - r + d * (k - 1))
-        if term.k == 2 and not any(term.c[0]):  # Phi_n | term: t u
-            term = Residue(c.n, 1, term.c[1:])
-        if not any(map(any, term.c)):  # the natural truncation
-            break
-        acc = acc + term if term.k == 2 else acc.plus_t_times(term)
-    verdict = acc.verdict()
-    if verdict.holds or k == c.n - 1:  # no witness, or no factor to defer
-        return verdict
+    running sum, so the accumulator starts at c - rhs.  From k1 = min(a,
+    n-1-a) + 1 on each term is t u, so the verdict fails unless Phi_n
+    divides c0 = acc mod t at k1; if c0 = 0, acc = t v and the loop goes
+    on with the one vector v, else with both digits, to the natural
+    truncation, and decides there.  A failing verdict's witness, that of
+    the whole sum, resumes the loop to k = n - 1 when it is read."""
+    n = c.n
+
+    def horner(acc, term, k):  # steps k+1, ... to the next stop
+        for k in range(k + 1, n):
+            acc = acc.times_one_minus(d * k).times_one_minus(d * k)
+            term = term.times_one_minus(r + d * (k - 1)).times_one_minus(
+                d - r + d * (k - 1))
+            first = term.k == 2 and not any(term.c[0])
+            if first:  # Phi_n | term: t u
+                term = Residue(n, 1, term.c[1:])
+            acc = acc + term if acc.k == term.k else acc.plus_t_times(term)
+            if first and not any(acc.c[0]):
+                acc = Residue(n, 1, acc.c[1:])  # acc = t v
+            elif first and not Residue(n, 1, acc.c[:1]).verdict().holds:
+                break  # Phi_n does not divide c0
+            if not any(map(any, term.c)):  # the natural truncation
+                break
+        return acc, term, k
+
+    acc, term, k = horner(c - rhs, c, 0)
+    acc = Residue(n, 2, [[0] * acc.N] + acc.c) if acc.k == 1 else acc  # t v
+    pending = any(map(any, term.c))  # stopped at k1, short of the truncation
+    if k == n - 1 or not pending:
+        verdict = acc.verdict()
+        if verdict.holds or k == n - 1:  # no witness, or no factor to defer
+            return verdict
 
     def witness() -> LaurentPoly:
-        rest = acc
-        for j in range(k + 1, c.n):
+        rest, _, j = horner(acc, term, k) if pending else (acc, term, k)
+        for j in range(j + 1, n):
             rest = rest.times_one_minus(d * j).times_one_minus(d * j)
         return rest.verdict().witness
 
@@ -392,8 +404,7 @@ def verify_proof_consistent_form(n: int, d: int, r: int) -> Verdict:
 
 # -- classical (q -> 1) side ----------------------------------------------
 
-@dataclass(frozen=True)
-class ClassicalInstance:
+class ClassicalInstance(NamedTuple):
     alpha: Fraction
     p: int
     a_classical: int

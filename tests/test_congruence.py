@@ -15,7 +15,7 @@ from qcongruence.congruence import (
 )
 from qcongruence.cyclotomic import cyclotomic
 from qcongruence.polyring import LaurentPoly
-from qcongruence.qcombinatorics import FactoredDen, QRat, q_integer
+from qcongruence.qcombinatorics import FactoredDen, QRat
 
 
 def P(d):
@@ -228,8 +228,9 @@ class TestCongruentModPhi:
     def test_denominator_participates(self):
         # [n]/[1] = 1 + q + ... + q^(n-1) == n mod Phi_n? No: it IS Phi_n
         # times a unit only for prime n; for n = 5 it vanishes mod Phi_5.
-        assert congruent_mod_phi(q_integer(5), QRat.zero(), 5, 1).holds
-        assert not congruent_mod_phi(q_integer(5), QRat.zero(), 5, 2).holds
+        q5 = QRat(P({0: 1, 5: -1}), FactoredDen((1,)))
+        assert congruent_mod_phi(q5, QRat.zero(), 5, 1).holds
+        assert not congruent_mod_phi(q5, QRat.zero(), 5, 2).holds
 
 
 class TestVerdict:

@@ -7,11 +7,18 @@ from math import gcd
 
 import pytest
 
-from qcongruence.congruence import Residue, Verdict, congruent_mod_phi
+from qcongruence.congruence import (
+    Residue,
+    Verdict,
+    congruent_mod_phi,
+    fold_mod_binomial_power,
+)
+from qcongruence.cyclotomic import cyclotomic
 from qcongruence.polyring import LaurentPoly
 from qcongruence.qcombinatorics import QRat
 from qcongruence.theorems import (
     SPECIAL_CASES,
+    _folded_verdict,
     derive_instance,
     equivalent_form_sum,
     harmonic_full,
@@ -98,8 +105,12 @@ class TestPhi21Truncated:
         x = Fraction(2, 3)
         for (u, v, w, b, c, N) in [(1, 2, 3, 3, 0, 4), (1, 1, 2, 2, 1, 5),
                                    (2, 3, 5, 5, 2, 3), (1, 4, 5, 5, 0, 6)]:
-            assert phi21_truncated(u, v, w, b, c, N).value(x) == \
-                direct(u, v, w, b, c, N, x), (u, v, w, b, c, N)
+            f = phi21_truncated(u, v, w, b, c, N)
+            den = Fraction(1)
+            for m in f.den.factors:
+                den *= 1 - x ** m
+            assert f.num(x) / den == direct(u, v, w, b, c, N, x), \
+                (u, v, w, b, c, N)
 
     def test_rejects_vanishing_denominator(self):
         with pytest.raises(ValueError):
@@ -219,22 +230,77 @@ class TestMainTheorem:
 
     @pytest.mark.parametrize("r,holds", [(1, False), (2, True)])
     def test_verdict_returns_at_natural_truncation(self, monkeypatch, r, holds):
-        # at n = 400, d = 3 the term vanishes in the ring after step
-        # max(a, n-1-a) + 1 = 267 for r = 1 (a = 133) and r = 2 (a = 266),
-        # and both verdicts return there; reading a failure's witness
-        # resumes the same loop to k = n - 1, once
+        # at n = 400, d = 3 the term is first divisible by Phi_n at step
+        # k1 = min(a, n-1-a) + 1 = 134 and vanishes in the ring after step
+        # k2 = max(a, n-1-a) + 1 = 267, for r = 1 (a = 133) and r = 2
+        # (a = 266).  The failing r = 1 returns at k1, the holding r = 2
+        # at k2; reading the failure's witness resumes the loop to k2
+        # and multiplies in the unit factors to k = n - 1, once
         calls = self._count_ring_factors(monkeypatch)
         n, inst = 400, derive_instance(400, 3, r)
-        stop = max(inst.a, n - 1 - inst.a) + 1
+        k1 = min(inst.a, n - 1 - inst.a) + 1
+        k2 = max(inst.a, n - 1 - inst.a) + 1
+        assert (k1, k2) == (134, 267)
         v = verify_theorem(n, 3, r)
-        assert v.holds == holds and len(calls) == 4 * stop
+        assert v.holds == holds and len(calls) == 4 * (k2 if holds else k1)
         if holds:
-            assert v.witness is None and len(calls) == 4 * stop
+            assert v.witness is None and len(calls) == 4 * k2
             return
         w = v.witness
         assert isinstance(w, LaurentPoly) and not w.is_zero
-        assert len(calls) == 2 * (n - 1) + 2 * stop
-        assert v.witness is w and len(calls) == 2 * (n - 1) + 2 * stop
+        assert len(calls) == 2 * (n - 1) + 2 * k2
+        assert v.witness is w and len(calls) == 2 * (n - 1) + 2 * k2
+
+    @staticmethod
+    def _record_verdicts(monkeypatch):
+        """Record (k, holds, exactly zero) of every Residue.verdict; a
+        k = 1 verdict is the test of the first digit c0 = acc mod t."""
+        seen = []
+        verdict = Residue.verdict
+
+        def recording(self):
+            out = verdict(self)
+            seen.append((self.k, out.holds, not any(map(any, self.c))))
+            return out
+
+        monkeypatch.setattr(Residue, "verdict", recording)
+        return seen
+
+    @pytest.mark.parametrize("n,d,r", [(9, 5, 1), (12, 5, 3)])
+    def test_first_digit_divisible_by_phi_keeps_both_digits(
+            self, monkeypatch, n, d, r):
+        # rhs shifted by Phi_n, folded, on holding instances with k1 = 2
+        # and 3: c0 at k1 is then a nonzero multiple of Phi_n, so the
+        # loop keeps both digits to the natural truncation and fails there
+        inst, phi = derive_instance(n, d, r), cyclotomic(n)
+        one = fold_mod_binomial_power(LaurentPoly.one(), n, 2)
+        rhs = one.shift(inst.e) * inst.sign + fold_mod_binomial_power(phi, n, 2)
+        seen = self._record_verdicts(monkeypatch)
+        v = _folded_verdict(one, rhs, d, r)
+        assert seen == [(1, True, False), (2, False, False)]
+        exact = congruent_mod_phi(
+            phi21_truncated(r, d - r, d, d, 0, n),
+            QRat(LaurentPoly.monomial(inst.e, inst.sign) + phi), n, 2)
+        assert not v.holds and v.witness == exact.witness
+
+    def test_first_digit_decides_on_the_criterion_1_grid(self, monkeypatch):
+        # both forms, n <= 40, d <= 10, r <= 2d, d not dividing r: every
+        # holding verdict finds c0 = 0 at k1, goes on with one vector and
+        # ends on an accumulator that is exactly zero; every failing one
+        # stops at k1 on a c0 that Phi_n does not divide
+        seen = self._record_verdicts(monkeypatch)
+        held = 0
+        for n, d, r in grid(40, 10, 20):
+            if r > 2 * d:
+                continue
+            for verify in (verify_theorem, verify_proof_consistent_form):
+                seen.clear()
+                if verify(n, d, r).holds:
+                    held += 1
+                    assert seen == [(2, True, True)], (n, d, r, verify)
+                else:
+                    assert seen[0] == (1, False, False), (n, d, r, verify)
+        assert held == 1678 + 1984
 
     def test_deferred_witness_is_read_once_and_compares_equal(self, monkeypatch):
         calls = self._count_ring_factors(monkeypatch)
