@@ -21,12 +21,13 @@ from .report import Report, ReportItem
 THEOREM_COLUMNS = ["n", "d", "r", "a", "e", "sign"]
 
 
-def _now_ms() -> int:
-    return time.perf_counter_ns() // 1_000_000
+def _elapsed(start: int) -> dict:
+    ns = time.perf_counter_ns() - start
+    return {"ms": ns // 1_000_000, "ns": ns}
 
 
 def _theorem_item(n: int, d: int, r: int, steps: bool) -> ReportItem:
-    start = _now_ms()
+    start = time.perf_counter_ns()
     inst = theorems.derive_instance(n, d, r)
     checks = {"theorem": theorems.verify_theorem(n, d, r).holds}
     if steps:
@@ -42,7 +43,7 @@ def _theorem_item(n: int, d: int, r: int, steps: bool) -> ReportItem:
         checks["expansion"] = theorems.step_expansion(n, d, r).holds
     flags = ["degenerate"] if inst.degenerate else []
     fields = {"n": n, "d": d, "r": r, "a": inst.a, "e": inst.e, "sign": inst.sign}
-    return ReportItem(fields, checks, flags, ms=_now_ms() - start)
+    return ReportItem(fields, checks, flags, **_elapsed(start))
 
 
 def cmd_verify(args) -> Report:
@@ -82,17 +83,17 @@ def cmd_classical(args) -> Report:
             # p = 3 is only within the stated range for alpha = 1/2
             if p == 3 and alpha != Fraction(1, 2):
                 continue
-            start = _now_ms()
+            start = time.perf_counter_ns()
             if alpha.denominator % p == 0:
                 report.items.append(ReportItem(
                     {"alpha": str(alpha), "p": p, "a": ""},
-                    {}, [], ms=_now_ms() - start, skipped=True))
+                    {}, [], **_elapsed(start), skipped=True))
                 continue
             inst = theorems.derive_classical(alpha, p)
             verdict = theorems.verify_classical(alpha, p)
             report.items.append(ReportItem(
                 {"alpha": str(alpha), "p": p, "a": inst.a_classical},
-                {"classical": verdict.holds}, [], ms=_now_ms() - start))
+                {"classical": verdict.holds}, [], **_elapsed(start)))
     return report
 
 
@@ -100,25 +101,25 @@ def cmd_special(args) -> Report:
     d, _, _ = theorems.SPECIAL_CASES[args.case]
     report = Report(["case", "p", "a", "e", "sign"])
     for p in theorems.special_case_primes(args.case, args.p_max):
-        start = _now_ms()
+        start = time.perf_counter_ns()
         inst = theorems.derive_instance(p, d, 1)
         verdict = theorems.verify_special_case(args.case, p)
         report.items.append(ReportItem(
             {"case": args.case, "p": p, "a": inst.a, "e": inst.e,
              "sign": inst.sign},
-            {"special": verdict.holds}, [], ms=_now_ms() - start))
+            {"special": verdict.holds}, [], **_elapsed(start)))
     return report
 
 
 def cmd_cyclotomic(args) -> Report:
-    start = _now_ms()
+    start = time.perf_counter_ns()
     poly = cyclotomic(args.n)
     report = Report(["n", "degree", "coefficients"])
     report.items.append(ReportItem(
         {"n": args.n, "degree": poly.degree,
          "coefficients": "[" + " ".join(str(c) for c in poly.coeffs) + "]"},
         {"degree_is_totient": poly.degree == euler_totient(args.n)},
-        [], ms=_now_ms() - start))
+        [], **_elapsed(start)))
     return report
 
 

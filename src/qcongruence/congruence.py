@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Optional, Union
 
 from .cyclotomic import cyclotomic
@@ -221,28 +221,24 @@ class Residue:
 def fold_mod_binomial_power(p: LaurentPoly, n: int, k: int) -> Residue:
     """Reduce the Laurent polynomial p into Z[q]/((q^N - eps)^k).
 
-    Horner's rule in q^n over blocks of n coefficients, starting at the
-    multiple of n at or below p.low; a block lo + q^N hi enters as
-    (lo + eps hi) + t hi, hi being empty for odd n.
+    Since q^{M N + s} = q^s (eps + t)^M, digit j at slot s is the strided
+    sum over M of binom(M, j) eps^{M - j} a_{M N + s}, a_e the coefficient
+    of q^e and M running from the block of p.low on; slots past the last
+    coefficient are zero.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    big, s = divmod(p.low, n)
+    out = Residue(n, k, [])
+    N, eps = out.N, out.eps
+    big, s = divmod(p.low, N)
     coeffs = [0] * s + list(p.coeffs)
-    coeffs += [0] * (-len(coeffs) % n)
-    acc = Residue(n, k, [])
-    N = acc.N
-    acc.c = [[0] * N for _ in range(k)]
-    for start in reversed(range(0, len(coeffs), n)):
-        c = acc._times_q(n)[1]  # q^n = (eps + t)^(n/N) has sign +1
-        lo, hi = coeffs[start:start + N], coeffs[start + N:start + n]
-        c[0] = list(map(add, c[0], lo))
-        if hi:  # even n, eps = -1
-            c[0] = list(map(sub, c[0], hi))
-            if k > 1:
-                c[1] = list(map(add, c[1], hi))
-        acc.c = c
-    return acc.shift(big * n)
+    used = min(N, len(coeffs))
+    blocks = range(big, big - (-len(coeffs) // N))
+    for j in range(k):
+        w = [_binom(M, j) * eps ** ((M - j) % 2) for M in blocks]
+        out.c.append([sum(map(mul, w, coeffs[i::N])) for i in range(used)]
+                     + [0] * (N - used))
+    return out
 
 
 def congruent_mod_phi(f: QRat, g: QRat, n: int, k: int) -> Verdict:

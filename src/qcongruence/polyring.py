@@ -14,6 +14,7 @@ Everything here is immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable
 
 
@@ -109,7 +110,7 @@ class LaurentPoly:
         a, b = (self, other) if self.low <= other.low else (other, self)
         off, bc = b.low - a.low, b.coeffs
         out = list(a.coeffs) + [0] * (off + len(bc) - len(a.coeffs))
-        out[off:off + len(bc)] = [x + y for x, y in zip(out[off:off + len(bc)], bc)]
+        out[off:off + len(bc)] = map(add, out[off:off + len(bc)], bc)
         return LaurentPoly(a.low, out)
 
     __radd__ = __add__
@@ -178,11 +179,11 @@ class LaurentPoly:
             return _ZERO
         if m > 0:
             return LaurentPoly(self.low, list(a[:m]) + [0] * (m - len(a))
-                               + [x - y for x, y in zip(a[m:], a)]
+                               + list(map(sub, a[m:], a))
                                + [-c for c in a[-m:]])
         # 1 - q^m = q^m (q^{-m} - 1)
         return LaurentPoly(self.low + m, [-c for c in a[:-m]] + [0] * (-m - len(a))
-                           + [x - y for x, y in zip(a, a[-m:])] + list(a[m:]))
+                           + list(map(sub, a, a[-m:])) + list(a[m:]))
 
     def div_one_minus(self, m: int) -> "LaurentPoly":
         """Exact quotient by (1 - q^m): c_i = a_i + c_{i-m}.  A nonzero

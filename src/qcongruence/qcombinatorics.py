@@ -19,8 +19,6 @@ QRat addition, subtraction and equality go through it, and so does
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .polyring import LaurentPoly
 
 
@@ -139,9 +137,11 @@ def union_sum(terms) -> QRat:
     denominator lacks: by that product when it shares none of them, else
     one factor at a time.
     """
-    acc, union, product = LaurentPoly.zero(), Counter(), LaurentPoly.one()
+    acc, union, product = LaurentPoly.zero(), {}, LaurentPoly.one()
     for num, factors in terms:
-        own = Counter(factors)
+        own = {}
+        for m in factors:
+            own[m] = own.get(m, 0) + 1
         if union and own.keys().isdisjoint(union):
             # the running product pays off on sums of single-factor terms
             # (_harmonic, _chu_tail): each new term takes the whole union
@@ -149,15 +149,16 @@ def union_sum(terms) -> QRat:
             num = num * product
         else:
             for m, c in union.items():
-                for _ in range(c - own[m]):
+                for _ in range(c - own.get(m, 0)):
                     num = num.times_one_minus(m)
         for m, c in own.items():
-            for _ in range(c - union[m]):
+            for _ in range(c - union.get(m, 0)):
                 acc = acc.times_one_minus(m)
                 product = product.times_one_minus(m)
-                union[m] += 1
+                union[m] = union.get(m, 0) + 1
         acc = acc + num
-    return QRat(acc, FactoredDen(tuple(union.elements())))
+    return QRat(acc, FactoredDen(tuple(
+        m for m, c in union.items() for _ in range(c))))
 
 
 def _coerce(x):

@@ -1,7 +1,7 @@
 """Machine-readable run reports: text table, JSON, and CSV renderings.
 
 All values are exact (ints, exact rational strings, booleans); the only
-nondeterministic field is the per-item timing in milliseconds.
+nondeterministic fields are the per-item timings: ms, and ns in JSON.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from typing import Any, Dict, List, Optional
 
 
 class ReportItem:
-    """One row: identity ``fields`` and ``checks`` (name -> verdict)."""
+    """One row: identity ``fields``, ``checks`` (name -> verdict), timings."""
 
     def __init__(self, fields: Dict[str, Any], checks: Dict[str, bool],
                  flags: Optional[List[str]] = None, ms: int = 0,
-                 skipped: bool = False):
-        self.fields, self.checks, self.ms, self.skipped = fields, checks, ms, skipped
-        self.flags = [] if flags is None else flags
+                 skipped: bool = False, ns: int = 0):
+        self.fields, self.checks, self.ms, self.ns = fields, checks, ms, ns
+        self.skipped, self.flags = skipped, [] if flags is None else flags
 
     @property
     def passed(self) -> bool:
@@ -52,6 +52,7 @@ class Report:
             obj["flags"] = (it.flags + (["skipped"] if it.skipped else []))
             obj["checks"] = dict(it.checks)
             obj["ms"] = it.ms
+            obj["ns"] = it.ns
             items.append(obj)
         return {"summary": self.summary, "items": items}
 

@@ -239,9 +239,12 @@ def test_criterion_4_identity_suites():
 
 def _proof_step_audit(ns):
     """Run the six proof-step checks on n in ns, d = 2..6 coprime to n,
-    r = 1..d-1; returns (failures, expected, total, even_n_seen)."""
+    r = 1..d-1; returns (failures, expected, total, even_n_seen, digest),
+    digest hashing every verdict's holds and repr(witness), the binomial
+    shift at each k on its own."""
     failures, expected, total = [], [], 0
     even_n_seen = 0
+    digest = hashlib.sha256()
     for n in ns:
         for d in range(2, 7):
             if gcd(n, d) != 1:
@@ -250,15 +253,20 @@ def _proof_step_audit(ns):
                 if n % 2 == 0:
                     even_n_seen += 1
                 inst = derive_instance(n, d, r)
-                checks = {
-                    "binom_shift": all(step_binom_shift(n, d, r, k).holds
-                                       for k in range(n)),
+                shifts = [step_binom_shift(n, d, r, k) for k in range(n)]
+                verdicts = {
                     "final2": step_final2(n, d, inst.a),
-                    "final3_final4": step_final3_final4(n, d, r).holds,
-                    "harmonic_full": harmonic_full(n, d).holds,
-                    "harmonic_twisted": harmonic_twisted(n, d, inst.a).holds,
-                    "expansion": step_expansion(n, d, r).holds,
+                    "final3_final4": step_final3_final4(n, d, r),
+                    "harmonic_full": harmonic_full(n, d),
+                    "harmonic_twisted": harmonic_twisted(n, d, inst.a),
+                    "expansion": step_expansion(n, d, r),
                 }
+                for v in shifts + list(verdicts.values()):
+                    # step_final2 is an identity and returns a plain bool
+                    digest.update(repr((n, d, r, bool(v), repr(
+                        getattr(v, "witness", None)))).encode())
+                checks = {"binom_shift": all(shifts)}
+                checks.update((k, bool(v)) for k, v in verdicts.items())
                 for name, ok in checks.items():
                     total += 1
                     if not ok:
@@ -266,21 +274,24 @@ def _proof_step_audit(ns):
                 # only the closing expansion inherits the literal failures
                 if not _literal_holds(n, d, r):
                     expected.append((n, d, r, "expansion"))
-    return failures, expected, total, even_n_seen
+    return failures, expected, total, even_n_seen, digest.hexdigest()[:16]
 
 
 def test_criterion_5_proof_step_audit():
-    failures, expected, total, even_n_seen = _proof_step_audit(range(2, 13))
+    failures, expected, total, even_n_seen, digest = \
+        _proof_step_audit(range(2, 13))
     assert even_n_seen >= 3
     _report(5, "proof-step audit", failures, total, expected)
     assert total == 510 and len(failures) == 14
     assert (2, 3, 2, "expansion") in failures
     assert (4, 3, 1, "expansion") in failures
+    # every verdict and witness, whichever way residues are folded
+    assert digest == "09d6e242457f69db"
 
 
 def test_proof_step_audit_to_n_20():
     # the criterion-5 audit continued over n = 13..20: 67 instances
-    failures, expected, total, _ = _proof_step_audit(range(13, 21))
+    failures, expected, total, _, digest = _proof_step_audit(range(13, 21))
     _report(5, "proof-step audit, n = 13..20", failures, total, expected)
     assert total == 402
     assert sorted(failures) == [
@@ -289,6 +300,7 @@ def test_proof_step_audit_to_n_20():
         (16, 5, 1, "expansion"), (16, 5, 3, "expansion"),
         (18, 5, 3, "expansion"), (18, 5, 4, "expansion"),
         (20, 3, 2, "expansion")]
+    assert digest == "ed3e8e2eec73f2d9"
 
 
 def _den_product(exponents):

@@ -43,6 +43,9 @@ class TestVerify:
         assert (item["n"], item["d"], item["r"]) == (5, 3, 1)
         assert (item["a"], item["e"], item["sign"]) == (3, -8, -1)
         assert item["checks"] == {"theorem": True}
+        # the item's time in ns beside the whole ms it rounds down to
+        assert isinstance(item["ns"], int) and item["ns"] > 0
+        assert item["ms"] == item["ns"] // 1_000_000
 
 
 class TestSteps:
@@ -56,7 +59,7 @@ class TestSteps:
         def strip_ms(s):
             obj = json.loads(s)
             for it in obj["items"]:
-                it["ms"] = 0
+                it["ms"] = it["ns"] = 0
             return obj
 
         assert strip_ms(out1) == strip_ms(out2)
@@ -178,7 +181,7 @@ class TestDeterminism:
         def normalize(s):
             obj = json.loads(s)
             for it in obj["items"]:
-                it["ms"] = 0
+                it["ms"] = it["ns"] = 0
             return json.dumps(obj, indent=2)
 
         assert normalize(out1) == normalize(out2)
@@ -233,6 +236,14 @@ class TestReportObjects:
             "4,3,1,,theorem=fail;expansion=pass,17,fail\n"
             "6,5,,degenerate;skipped,,0,skip\n"
             "10,3,3,degenerate,theorem=pass,0,pass\n")
+
+    def test_json_carries_ns_beside_ms(self):
+        rep = Report(["x"])
+        rep.items.append(ReportItem({"x": 1}, {"c": True}, ms=3))
+        rep.items.append(ReportItem({"x": 2}, {"c": True}, ms=0, ns=41_000))
+        assert [(it["ms"], it["ns"]) for it in rep.to_obj()["items"]] == \
+            [(3, 0), (0, 41_000)]
+        assert "ns" not in rep.to_csv() and "ns" not in rep.to_text()
 
     def test_empty_report_rendering(self):
         assert Report(["x"]).to_text() == (

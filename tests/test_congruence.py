@@ -1,11 +1,13 @@
 from collections import Counter
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qcongruence.congruence import (
     CongruenceDomainError,
+    Residue,
     Verdict,
     congruent_mod_phi,
     fold_mod_binomial_power,
@@ -136,6 +138,43 @@ class TestFolding:
         assert fold_mod_binomial_power(f, 5, 1).poly().degree < 5
         assert fold_mod_binomial_power(f, 5, 2).poly().degree < 10
         assert fold_mod_binomial_power(f, 5, 3).poly().degree < 15
+
+    @given(st.data(), st.integers(min_value=1, max_value=40),
+           st.sampled_from([1, 2, 3]))
+    def test_strided_fold_matches_horner_fold(self, data, n, k):
+        low = data.draw(st.integers(min_value=-3 * n, max_value=3 * n))
+        coeffs = data.draw(st.lists(st.integers(min_value=-50, max_value=50),
+                                    max_size=12 * n))
+        p = LaurentPoly(low, coeffs)
+        assert fold_mod_binomial_power(p, n, k).c == _horner_fold(p, n, k).c
+
+    def test_fold_of_a_constant_is_the_constant(self):
+        for n in (2, 7, 400, 401):
+            folded = fold_mod_binomial_power(LaurentPoly.constant(3), n, 2)
+            assert folded.c == [[3] + [0] * (folded.N - 1), [0] * folded.N]
+
+
+def _horner_fold(p, n, k):
+    """The fold by Horner's rule in q^n over blocks of n coefficients,
+    from the multiple of n at or below p.low; a block lo + q^N hi enters
+    as (lo + eps hi) + t hi, hi being empty for odd n.  The oracle for
+    ``fold_mod_binomial_power``."""
+    big, s = divmod(p.low, n)
+    coeffs = [0] * s + list(p.coeffs)
+    coeffs += [0] * (-len(coeffs) % n)
+    acc = Residue(n, k, [])
+    N = acc.N
+    acc.c = [[0] * N for _ in range(k)]
+    for start in reversed(range(0, len(coeffs), n)):
+        c = acc._times_q(n)[1]  # q^n = (eps + t)^(n/N) has sign +1
+        lo, hi = coeffs[start:start + N], coeffs[start + N:start + n]
+        c[0] = list(map(add, c[0], lo))
+        if hi:  # even n, eps = -1
+            c[0] = list(map(sub, c[0], hi))
+            if k > 1:
+                c[1] = list(map(add, c[1], hi))
+        acc.c = c
+    return acc.shift(big * n)
 
 
 _laurent = st.builds(
