@@ -196,11 +196,6 @@ class Residue:
         other = Residue(self.n, self.k, c)
         return self - other if sign > 0 else self + other
 
-    def plus_t_times(self, u: "Residue") -> "Residue":
-        """This element plus t u, u in the ring with one power of t fewer."""
-        return Residue(self.n, self.k, self.c[:1] + [
-            list(map(add, a, b)) for a, b in zip(self.c[1:], u.c)])
-
     def poly(self) -> LaurentPoly:
         """The representative sum_j c_j(q) (q^N - eps)^j, of degree < k N."""
         acc = LaurentPoly.zero()

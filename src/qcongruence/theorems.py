@@ -6,18 +6,9 @@ power, never from numerics.  The classical (q -> 1) side works directly
 with arbitrary-precision rationals modulo p^2.
 
 The main statement and its corrected form are both claims about the same
-truncated sum S modulo Phi_n(q)^2.  Each verifier runs one Horner
-accumulator of the difference (c S - rhs) D, D the sum's denominator, in
-the residue ring Z[q]/((q^N - eps)^2) of ``congruence``: no intermediate
-exceeds size 2N, and D is never formed on its own.  The term
-(q^r;q^d)_k (q^{d-r};q^d)_k first meets a factor (1 - q^m) with n | m at
-k1 = min(a, n-1-a) + 1, and from there it is t u, t = q^N - eps; the
-verdict fails there unless Phi_n divides the accumulator's first digit
-acc mod t, and when that digit is 0 the loop goes on with one vector.
-The term is zero in the ring past max(a, n-1-a); later steps multiply
-only by units modulo Phi_n, so the verdict is decided there.  A failing
-verdict's witness, that of the whole sum, is computed when it is read.
-Tests check both, witnesses included, against ``phi21_truncated``.
+truncated sum S modulo Phi_n(q)^2, decided by one Horner loop in the
+residue ring of ``congruence`` (``_folded_verdict`` says how); tests
+check both, witnesses included, against ``phi21_truncated``.
 """
 
 from __future__ import annotations
@@ -141,46 +132,52 @@ def equivalent_form_sum(n: int, d: int, r: int) -> QRat:
 def _folded_verdict(c: Residue, rhs: Residue, d: int, r: int) -> Verdict:
     """The verdict on (c S - rhs) D == 0 (mod Phi_n^2) for S =
     phi21_truncated(r, d-r, d, d, 0, n), its denominator D =
-    ((q^d;q^d)_{n-1})^2 and a constant c.  Horner's rule over the terms
-    of S: D multiplies rhs by the factors (1 - q^{dk})^2 that multiply the
-    running sum, so the accumulator starts at c - rhs.  From k1 = min(a,
-    n-1-a) + 1 on each term is t u, so the verdict fails unless Phi_n
-    divides c0 = acc mod t at k1; if c0 = 0, acc = t v and the loop goes
-    on with the one vector v, else with both digits, to the natural
-    truncation, and decides there.  A failing verdict's witness, that of
-    the whole sum, resumes the loop to k = n - 1 when it is read."""
+    ((q^d;q^d)_{n-1})^2 and a constant c.
+
+    Horner's rule over the terms of S: D multiplies rhs by the factors
+    (1 - q^{dk})^2 that multiply the running sum, so the accumulator
+    starts at c - rhs and D is never formed on its own.  The term
+    (q^r;q^d)_k (q^{d-r};q^d)_k first meets a factor (1 - q^m) with
+    n | m at k1 = min(a, n-1-a) + 1, and t = q^N - eps divides it from
+    there; every later step adds a multiple of t and multiplies by units
+    modulo Phi_n, so c0 = acc mod t at k1 decides divisibility by Phi_n.
+    One loop, ``horner``, keeps the accumulator and the term in the same
+    ring and stops, when asked, at the first step whose term t divides:
+
+    1. in Z[q]/(t^2) from k = 0 up to k1;
+    2. if c0 = 0, in Z[q]/(t) on v and u, acc = t v and term = t u, up
+       to the natural truncation k2 = max(a, n-1-a) + 1, where u becomes
+       0; the verdict on t v is the verdict on the whole sum;
+    3. in every other case in Z[q]/(t^2) through k = n - 1 with no stop,
+       the term left alone once it is 0: at once if Phi_n divides a
+       nonzero c0, else (Phi_n does not divide c0, or t v fails at k2)
+       for the witness of a failing verdict, that of the whole sum, when
+       it is first read.
+    """
     n = c.n
 
-    def horner(acc, term, k):  # steps k+1, ... to the next stop
-        for k in range(k + 1, n):
+    def horner(acc, term, k, stop):
+        while k < n - 1 and (any(term.c[0]) or not stop):
+            k += 1
             acc = acc.times_one_minus(d * k).times_one_minus(d * k)
-            term = term.times_one_minus(r + d * (k - 1)).times_one_minus(
-                d - r + d * (k - 1))
-            first = term.k == 2 and not any(term.c[0])
-            if first:  # Phi_n | term: t u
-                term = Residue(n, 1, term.c[1:])
-            acc = acc + term if acc.k == term.k else acc.plus_t_times(term)
-            if first and not any(acc.c[0]):
-                acc = Residue(n, 1, acc.c[1:])  # acc = t v
-            elif first and not Residue(n, 1, acc.c[:1]).verdict().holds:
-                break  # Phi_n does not divide c0
-            if not any(map(any, term.c)):  # the natural truncation
-                break
+            if any(map(any, term.c)):
+                term = term.times_one_minus(r + d * (k - 1)).times_one_minus(
+                    d - r + d * (k - 1))
+                acc = acc + term
         return acc, term, k
 
-    acc, term, k = horner(c - rhs, c, 0)
-    acc = Residue(n, 2, [[0] * acc.N] + acc.c) if acc.k == 1 else acc  # t v
-    pending = any(map(any, term.c))  # stopped at k1, short of the truncation
-    if k == n - 1 or not pending:
-        verdict = acc.verdict()
-        if verdict.holds or k == n - 1:  # no witness, or no factor to defer
-            return verdict
+    acc, term, k = horner(c - rhs, c, 0, True)
+    if not any(acc.c[0]):  # c0 = 0
+        v, u, k = horner(Residue(n, 1, acc.c[1:]), Residue(n, 1, term.c[1:]),
+                         k, True)
+        acc, term = (Residue(n, 2, [[0] * c.N] + x.c) for x in (v, u))
+        if acc.verdict().holds:
+            return Verdict(True, 2)
+    elif Residue(n, 1, acc.c[:1]).verdict().holds:  # Phi_n | c0 != 0
+        return horner(acc, term, k, False)[0].verdict()
 
     def witness() -> LaurentPoly:
-        rest, _, j = horner(acc, term, k) if pending else (acc, term, k)
-        for j in range(j + 1, n):
-            rest = rest.times_one_minus(d * j).times_one_minus(d * j)
-        return rest.verdict().witness
+        return horner(acc, term, k, False)[0].verdict().witness
 
     return Verdict(False, 2, witness)
 

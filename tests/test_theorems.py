@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcongruence.congruence import (
     Residue,
@@ -228,20 +229,33 @@ class TestMainTheorem:
         monkeypatch.setattr(Residue, "times_one_minus", counting)
         return calls
 
-    @pytest.mark.parametrize("r,holds", [(1, False), (2, True)])
-    def test_verdict_returns_at_natural_truncation(self, monkeypatch, r, holds):
-        # at n = 400, d = 3 the term is first divisible by Phi_n at step
-        # k1 = min(a, n-1-a) + 1 = 134 and vanishes in the ring after step
-        # k2 = max(a, n-1-a) + 1 = 267, for r = 1 (a = 133) and r = 2
-        # (a = 266).  The failing r = 1 returns at k1, the holding r = 2
-        # at k2; reading the failure's witness resumes the loop to k2
-        # and multiplies in the unit factors to k = n - 1, once
+    @pytest.mark.parametrize("verify,n,r,holds,k1,k2", [
+        pytest.param(verify_theorem, 400, 1, False, 134, 267, id="1-False"),
+        pytest.param(verify_theorem, 400, 2, True, 134, 267, id="2-True"),
+        pytest.param(verify_proof_consistent_form, 62, 1, True, 21, 42,
+                     id="corrected-62-1"),
+        pytest.param(verify_proof_consistent_form, 62, 2, True, 21, 42,
+                     id="corrected-62-2"),
+        pytest.param(verify_proof_consistent_form, 80, 1, True, 27, 54,
+                     id="corrected-80-1"),
+        pytest.param(verify_proof_consistent_form, 80, 2, True, 27, 54,
+                     id="corrected-80-2"),
+    ])
+    def test_verdict_returns_at_natural_truncation(
+            self, monkeypatch, verify, n, r, holds, k1, k2):
+        # at d = 3 the term is first divisible by Phi_n at step
+        # k1 = min(a, n-1-a) + 1 and vanishes in the ring after step
+        # k2 = max(a, n-1-a) + 1; at n = 400, r = 1 (a = 133) and r = 2
+        # (a = 266).  The failing literal r = 1 returns at k1, the holding
+        # verdicts of both forms at k2; reading the failure's witness
+        # resumes the loop to k2 and multiplies in the unit factors to
+        # k = n - 1, once.  n = 62 and 80 are the corrected-form sizes of
+        # the benchmark's large_n workload
         calls = self._count_ring_factors(monkeypatch)
-        n, inst = 400, derive_instance(400, 3, r)
-        k1 = min(inst.a, n - 1 - inst.a) + 1
-        k2 = max(inst.a, n - 1 - inst.a) + 1
-        assert (k1, k2) == (134, 267)
-        v = verify_theorem(n, 3, r)
+        inst = derive_instance(n, 3, r)
+        assert (min(inst.a, n - 1 - inst.a) + 1,
+                max(inst.a, n - 1 - inst.a) + 1) == (k1, k2)
+        v = verify(n, 3, r)
         assert v.holds == holds and len(calls) == 4 * (k2 if holds else k1)
         if holds:
             assert v.witness is None and len(calls) == 4 * k2
@@ -266,22 +280,60 @@ class TestMainTheorem:
         monkeypatch.setattr(Residue, "verdict", recording)
         return seen
 
-    @pytest.mark.parametrize("n,d,r", [(9, 5, 1), (12, 5, 3)])
+    @pytest.mark.parametrize("n,d,r,j,seen,holds", [
+        pytest.param(9, 5, 1, 1, [(1, True, False), (2, False, False)], False,
+                     id="9-5-1"),
+        pytest.param(12, 5, 3, 1, [(1, True, False), (2, False, False)],
+                     False, id="12-5-3"),
+        pytest.param(9, 5, 1, 2, [(1, True, False), (2, True, True)], True,
+                     id="9-5-1-phi2"),
+        pytest.param(12, 5, 3, 2, [(1, True, False), (2, True, True)], True,
+                     id="12-5-3-phi2"),
+        pytest.param(15, 2, 1, 1, [(2, False, False)], False, id="15-2-1"),
+        pytest.param(10, 3, 2, 1, [(2, False, False)], False, id="10-3-2"),
+    ])
     def test_first_digit_divisible_by_phi_keeps_both_digits(
-            self, monkeypatch, n, d, r):
-        # rhs shifted by Phi_n, folded, on holding instances with k1 = 2
-        # and 3: c0 at k1 is then a nonzero multiple of Phi_n, so the
-        # loop keeps both digits to the natural truncation and fails there
-        inst, phi = derive_instance(n, d, r), cyclotomic(n)
+            self, monkeypatch, n, d, r, j, seen, holds):
+        # rhs shifted by Phi_n^j, folded, on holding instances, so that
+        # every exit of the loop is reached.  At (9, 5, 1) and (12, 5, 3)
+        # (k1 = 2 and 3) c0 at k1 is a nonzero multiple of Phi_n, so the
+        # loop runs on with both digits to k = n - 1 and decides at once:
+        # it fails for j = 1 and holds for j = 2.  At (15, 2, 1) and
+        # (10, 3, 2) the factors of D up to k1 supply the other factors
+        # of t, so c0 = 0 and the verdict fails at the natural truncation
+        inst, phi = derive_instance(n, d, r), cyclotomic(n) ** j
         one = fold_mod_binomial_power(LaurentPoly.one(), n, 2)
         rhs = one.shift(inst.e) * inst.sign + fold_mod_binomial_power(phi, n, 2)
-        seen = self._record_verdicts(monkeypatch)
+        recorded = self._record_verdicts(monkeypatch)
         v = _folded_verdict(one, rhs, d, r)
-        assert seen == [(1, True, False), (2, False, False)]
+        assert recorded == seen
         exact = congruent_mod_phi(
             phi21_truncated(r, d - r, d, d, 0, n),
             QRat(LaurentPoly.monomial(inst.e, inst.sign) + phi), n, 2)
-        assert not v.holds and v.witness == exact.witness
+        assert v.holds == exact.holds == holds
+        assert v.witness == exact.witness
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(min_value=2, max_value=14),
+           st.sampled_from([0, 1, 2]))
+    def test_folded_verdict_matches_exact_on_shifted_rhs(self, data, n, j):
+        # R = (-1)^a q^e + Phi_n^j X against the exact sum: j = 0 moves
+        # R off the prediction by anything, j = 1 keeps it modulo Phi_n
+        # and j = 2 modulo Phi_n^2
+        d = data.draw(st.sampled_from(
+            [d for d in range(2, 8) if gcd(n, d) == 1]))
+        r = data.draw(st.integers(min_value=1, max_value=2 * d).filter(
+            lambda r: r % d))
+        x = data.draw(st.builds(
+            LaurentPoly, st.integers(min_value=-6, max_value=6),
+            st.lists(st.integers(min_value=-3, max_value=3), max_size=5)))
+        inst = derive_instance(n, d, r)
+        rhs = LaurentPoly.monomial(inst.e, inst.sign) + cyclotomic(n) ** j * x
+        one = fold_mod_binomial_power(LaurentPoly.one(), n, 2)
+        v = _folded_verdict(one, fold_mod_binomial_power(rhs, n, 2), d, r)
+        exact = congruent_mod_phi(
+            phi21_truncated(r, d - r, d, d, 0, n), QRat(rhs), n, 2)
+        assert (v.holds, v.witness) == (exact.holds, exact.witness)
 
     def test_first_digit_decides_on_the_criterion_1_grid(self, monkeypatch):
         # both forms, n <= 40, d <= 10, r <= 2d, d not dividing r: every
