@@ -32,13 +32,9 @@ class LaurentPoly:
         start = 0
         while start < end and coeffs[start] == 0:
             start += 1
-        if start == end:
-            object.__setattr__(self, "low", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "low", low + start)
-            object.__setattr__(self, "coeffs", tuple(
-                coeffs if end - start == len(coeffs) else coeffs[start:end]))
+        _set_low(self, low + start if end else 0)
+        _set_coeffs(self, tuple(
+            coeffs if end - start == len(coeffs) else coeffs[start:end]))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -88,12 +84,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return self.low + len(self.coeffs) - 1
 
-    def coefficient(self, exp: int) -> int:
-        i = exp - self.low
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def terms(self) -> dict:
         return {self.low + i: c for i, c in enumerate(self.coeffs) if c != 0}
 
@@ -116,7 +106,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.low, [-c for c in self.coeffs])
+        return _make(self.low, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -134,7 +124,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            return LaurentPoly(self.low, [c * other for c in self.coeffs])
+            return _make(self.low, [c * other for c in self.coeffs])
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -149,7 +139,7 @@ class LaurentPoly:
             if cb:
                 for i, ca in a:
                     out[i + j] += ca * cb
-        return LaurentPoly(self.low + other.low, out)
+        return _make(self.low + other.low, out)
 
     __rmul__ = __mul__
 
@@ -170,7 +160,7 @@ class LaurentPoly:
         """Multiply by q**t (every exponent increased by t)."""
         if not self.coeffs:
             return _ZERO
-        return LaurentPoly(self.low + t, self.coeffs)
+        return _make(self.low + t, self.coeffs)
 
     def times_one_minus(self, m: int) -> "LaurentPoly":
         """Multiply by (1 - q^m) in one pass over the coefficients."""
@@ -178,12 +168,11 @@ class LaurentPoly:
         if not a or not m:
             return _ZERO
         if m > 0:
-            return LaurentPoly(self.low, list(a[:m]) + [0] * (m - len(a))
-                               + list(map(sub, a[m:], a))
-                               + [-c for c in a[-m:]])
+            return _make(self.low, list(a[:m]) + [0] * (m - len(a))
+                         + list(map(sub, a[m:], a)) + [-c for c in a[-m:]])
         # 1 - q^m = q^m (q^{-m} - 1)
-        return LaurentPoly(self.low + m, [-c for c in a[:-m]] + [0] * (-m - len(a))
-                           + list(map(sub, a, a[-m:])) + list(a[m:]))
+        return _make(self.low + m, [-c for c in a[:-m]] + [0] * (-m - len(a))
+                     + list(map(sub, a, a[-m:])) + list(a[m:]))
 
     def div_one_minus(self, m: int) -> "LaurentPoly":
         """Exact quotient by (1 - q^m): c_i = a_i + c_{i-m}.  A nonzero
@@ -198,7 +187,7 @@ class LaurentPoly:
                                                         c[start - m:start])]
         if any(c[-m:]):
             raise ArithmeticError(f"(1 - q^{m}) does not divide {self}")
-        return LaurentPoly(self.low, c[:-m])
+        return _make(self.low, c[:-m])
 
     def divrem(self, other: "LaurentPoly") -> tuple:
         """Exact long division of honest polynomials by a divisor with
@@ -274,6 +263,17 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
+
+
+_set_low, _set_coeffs = LaurentPoly.low.__set__, LaurentPoly.coeffs.__set__
+
+
+def _make(low: int, coeffs) -> LaurentPoly:
+    """A LaurentPoly from coefficients with nonzero ends, not scanned again."""
+    p = object.__new__(LaurentPoly)
+    _set_low(p, low)
+    _set_coeffs(p, tuple(coeffs))  # a tuple is not copied
+    return p
 
 
 def _coerce(x):

@@ -12,9 +12,8 @@ list (``LaurentPoly.times_one_minus``/``div_one_minus``): Pochhammer
 symbols multiply in one factor at a time, Gaussian binomials come from
 one-factor exact divisions, a whole row [N, 0..k] at once, and
 ``union_sum`` builds a sum of terms over their union denominator by
-Horner's rule.  ``union_sum`` is the only place two denominators meet:
-QRat addition, subtraction and equality go through it, and so does
-``congruence.congruent_mod_phi``.
+Horner's rule, for QRat arithmetic and ``congruence.congruent_mod_phi``;
+``theorems`` builds its proof-step sums over denominators known in advance.
 """
 
 from __future__ import annotations
@@ -73,10 +72,6 @@ class QRat:
     def monomial(exp: int, coef: int = 1) -> "QRat":
         return QRat(LaurentPoly.monomial(exp, coef))
 
-    @staticmethod
-    def zero() -> "QRat":
-        return QRat(LaurentPoly.zero())
-
     def __add__(self, other) -> "QRat":
         other = _coerce(other)
         if other is NotImplemented:
@@ -132,29 +127,20 @@ def union_sum(terms) -> QRat:
     one builds, whose numerator over that denominator is unique.
 
     Horner's rule, one factor (1 - q^m) at a time: a factor new to the
-    union multiplies the sum so far and the running product of the union.
-    Each term is multiplied by the factors of the union that its own
-    denominator lacks: by that product when it shares none of them, else
-    one factor at a time.
+    union multiplies the sum so far, and each term is multiplied by the
+    factors of the union that its own denominator lacks.
     """
-    acc, union, product = LaurentPoly.zero(), {}, LaurentPoly.one()
+    acc, union = LaurentPoly.zero(), {}
     for num, factors in terms:
         own = {}
         for m in factors:
             own[m] = own.get(m, 0) + 1
-        if union and own.keys().isdisjoint(union):
-            # the running product pays off on sums of single-factor terms
-            # (_harmonic, _chu_tail): each new term takes the whole union
-            # in one multiply instead of one pass per factor
-            num = num * product
-        else:
-            for m, c in union.items():
-                for _ in range(c - own.get(m, 0)):
-                    num = num.times_one_minus(m)
+        for m, c in union.items():
+            for _ in range(c - own.get(m, 0)):
+                num = num.times_one_minus(m)
         for m, c in own.items():
             for _ in range(c - union.get(m, 0)):
                 acc = acc.times_one_minus(m)
-                product = product.times_one_minus(m)
                 union[m] = union.get(m, 0) + 1
         acc = acc + num
     return QRat(acc, FactoredDen(tuple(

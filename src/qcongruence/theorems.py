@@ -231,6 +231,7 @@ def verify_special_case(label: str, p: int) -> Verdict:
 
 
 # -- proof-step verifiers --------------------------------------------------
+# Every factor (1 - q^{jd}) below has j < n and gcd(n, d) = 1: a unit mod Phi_n.
 
 def _half_exponent(numerator: int) -> int:
     if numerator % 2:
@@ -238,27 +239,41 @@ def _half_exponent(numerator: int) -> int:
     return numerator // 2
 
 
+def _horner(terms, acc=LaurentPoly.zero(), nested=False) -> LaurentPoly:
+    """The numerator over prod (1 - q^m) of acc + sum num / D over the
+    (num, m) in terms, m distinct, by Horner's rule acc = acc (1 - q^m) +
+    num P: D = 1 - q^m and P the product of the factors before it, or,
+    nested, D the product of every factor up to 1 - q^m and P = 1."""
+    prefix, last = LaurentPoly.one(), 0
+    for num, m in terms:
+        if last and not nested:
+            prefix = prefix.times_one_minus(last)
+            num = num * prefix
+        acc, last = acc.times_one_minus(m) + num, m
+    return acc
+
+
 def _chu_tail(d: int, k: int, h: int, row: list, sign: int = 1):
-    """The terms, as (numerator, factors) pairs for ``union_sum``, of
-    sign sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2} (1 - q^h) row[k-j]
+    """The (numerator, factor exponent) pairs for ``_horner`` of sign
+    sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2} (1 - q^h) row[k-j]
     / (1 - q^{j d}), the j >= 1 part of the q-Chu-Vandermonde expansion."""
     for j in range(1, k + 1):
         exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
         num = row[k - j].times_one_minus(h).shift(exp)
-        yield (num if sign * (-1) ** j > 0 else -num), (j * d,)
+        yield (num if sign * (-1) ** j > 0 else -num), j * d
 
 
-def _harmonic(d: int, terms) -> QRat:
-    """sum over (j, e) in terms of q^e / [j]_{q^d}, each term written as
-    q^e (1 - q^d) / (1 - q^{j d})."""
-    return union_sum((LaurentPoly.monomial(e).times_one_minus(d), (j * d,))
-                     for j, e in terms)
+def _harmonic(d: int, terms, c: int = 1, acc=LaurentPoly.zero()) -> LaurentPoly:
+    """The numerator of (1 - q^d) acc + c sum over (j, e) in terms of
+    q^e / [j]_{q^d} = q^e (1 - q^d) / (1 - q^{j d}), (1 - q^d) taken once."""
+    return _horner(((LaurentPoly.monomial(e, c), j * d) for j, e in terms),
+                   acc).times_one_minus(d)
 
 
 def _harmonic_tail(d: int, a: int, js) -> QRat:
     """sum over j in js of q^{-d(a+1)(a-2j)/2} / [j]_{q^d}."""
-    return _harmonic(d, ((j, _half_exponent(-d * (a + 1) * (a - 2 * j)))
-                         for j in js))
+    return QRat(_harmonic(d, ((j, _half_exponent(-d * (a + 1) * (a - 2 * j)))
+                              for j in js)), FactoredDen(tuple(j * d for j in js)))
 
 
 def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
@@ -270,15 +285,16 @@ def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
 
     The head term carries the j = 0 monomial q^{sdn k} of the
     q-Chu-Vandermonde expansion; without it the congruence only holds
-    modulo Phi_n (it is stated loosely in some sources).
+    modulo Phi_n (it is stated loosely in some sources).  Both sides are
+    numerators over (q^d;q^d)_k, a unit modulo Phi_n as k < n.
     """
     inst = derive_instance(n, d, r)
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n - 1")
     row = gauss_binomial_row(inst.a, k, d)
-    rhs = union_sum([(row[k].shift(inst.sdn * k), ()),
-                     *_chu_tail(d, k, inst.sdn, row, -1)])
-    return congruent_mod_phi(binom_rational_index(r, d, k), rhs, n, 2)
+    rhs = _horner(_chu_tail(d, k, inst.sdn, row, -1), row[k].shift(inst.sdn * k))
+    return fold_mod_binomial_power(binom_rational_index(r, d, k).num - rhs,
+                                   n, 2).verdict()
 
 
 def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> QRat:
@@ -288,15 +304,11 @@ def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> QRat:
     inner_row = gauss_binomial_row(inner_top, n - 2, d)
     outer_row = gauss_binomial_row(outer_top, n - 1, d)
 
-    def terms():
-        for k in range(1, n):
-            if outer_row[k].is_zero:  # a zero term still brings its factors
-                yield outer_row[k], tuple(d * j for j in range(1, k + 1))
-            else:
-                inner = union_sum(_chu_tail(d, k, d, inner_row))
-                yield (inner.num * outer_row[k]).shift(d * k * k), inner.den.factors
-
-    return union_sum(terms())
+    # term k is over (q^d;q^d)_k; a zero term still brings its factor
+    terms = (((_horner(_chu_tail(d, k, d, inner_row)) * row).shift(d * k * k)
+              if row.coeffs else row, d * k) for k, row in enumerate(outer_row) if k)
+    return QRat(_horner(terms, nested=True),
+                FactoredDen(tuple(d * k for k in range(1, n))))
 
 
 def step_final2(n: int, d: int, a: int) -> bool:
@@ -308,18 +320,20 @@ def step_final2(n: int, d: int, a: int) -> bool:
         ==  (-1)^a sum_{j=1}^{a} q^{-d(a+1)(a-2j)/2} / [j]
 
     (all in base q^d).  This is an identity of rational functions, not
-    just a congruence.
+    just a congruence: the numerators over (q^d;q^d)_{n-1} are equal.
     """
     if not 0 <= a <= n - 1:
         raise ValueError("need 0 <= a <= n - 1")
-    rhs = _harmonic_tail(d, a, range(1, a + 1))
-    return _double_sum(n, d, a, -1 - a) == (-rhs if a % 2 else rhs)
+    rhs = _harmonic_tail(d, a, range(1, a + 1)).num
+    for j in range(a + 1, n):  # the factors that its denominator lacks
+        rhs = rhs.times_one_minus(d * j)
+    return _double_sum(n, d, a, -1 - a).num == (-rhs if a % 2 else rhs)
 
 
 def step_final3_final4(n: int, d: int, r: int) -> Verdict:
     """The companion double sum against [-1-a choose k], reduced modulo
     Phi_n (one power), including the even-n monomial reduction
-    q^{n/2} == -1:
+    q^{n/2} == -1, on the numerators over (q^d;q^d)_{n-1}:
 
         sum_{k=1}^{n-1} q^{d k^2} [-1-a, k]
             sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2} [a, k-j] / [j]
@@ -330,9 +344,11 @@ def step_final3_final4(n: int, d: int, r: int) -> Verdict:
     if inst.degenerate:
         raise ValueError("step requires a non-degenerate instance (d does not divide r)")
     a = inst.a
-    rhs = _harmonic_tail(d, a, range(a + 1, n))
-    return congruent_mod_phi(_double_sum(n, d, -1 - a, a),
-                             rhs if a % 2 else -rhs, n, 1)
+    rhs = _harmonic_tail(d, a, range(a + 1, n)).num
+    for j in range(1, a + 1):  # the factors that its denominator lacks
+        rhs = rhs.times_one_minus(d * j)
+    return fold_mod_binomial_power(_double_sum(n, d, -1 - a, a).num
+                                   + (-rhs if a % 2 else rhs), n, 1).verdict()
 
 
 def harmonic_full(n: int, d: int) -> Verdict:
@@ -340,9 +356,8 @@ def harmonic_full(n: int, d: int) -> Verdict:
     both sides times 2 to keep integers (Phi_n is monic: same verdict)."""
     if gcd(n, d) != 1:
         raise ValueError(f"gcd({n}, {d}) != 1")
-    lhs = _harmonic(d, ((j, 0) for j in range(1, n)))
-    rhs = QRat(LaurentPoly.from_dict({0: n - 1, d: 1 - n}))
-    return congruent_mod_phi(lhs * 2, rhs, n, 1)
+    diff = _harmonic(d, ((j, 0) for j in range(1, n)), 2, LaurentPoly.constant(1 - n))
+    return fold_mod_binomial_power(diff, n, 1).verdict()
 
 
 def harmonic_twisted(n: int, d: int, a: int) -> Verdict:
@@ -353,10 +368,9 @@ def harmonic_twisted(n: int, d: int, a: int) -> Verdict:
         raise ValueError(f"gcd({n}, {d}) != 1")
     if not 0 <= a <= n - 1:
         raise ValueError("need 0 <= a <= n - 1")
-    lhs = _harmonic(d, ((j, d * (a + 1) * j) for j in range(1, n)))
-    c2 = 2 * a + 1 - n
-    rhs = QRat(LaurentPoly.from_dict({0: c2, d: -c2}))
-    return congruent_mod_phi(lhs * 2, rhs, n, 1)
+    diff = _harmonic(d, ((j, d * (a + 1) * j) for j in range(1, n)), 2,
+                     LaurentPoly.constant(n - 1 - 2 * a))
+    return fold_mod_binomial_power(diff, n, 1).verdict()
 
 
 def step_expansion(n: int, d: int, r: int) -> Verdict:

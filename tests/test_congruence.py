@@ -24,6 +24,10 @@ def P(d):
     return LaurentPoly.from_dict(d)
 
 
+#: the zero rational function (no denominator)
+QZERO = QRat(LaurentPoly.zero())
+
+
 def den_product(exponents):
     """prod over m of (1 - q^m), multiplied out one full product at a time."""
     acc = LaurentPoly.one()
@@ -89,9 +93,9 @@ class TestDenCoprime:
         assert congruent_mod_phi(coprime, coprime, 5, 1).holds
         shared = QRat(LaurentPoly.one(), FactoredDen((2, 10)))
         with pytest.raises(CongruenceDomainError, match="left denominator"):
-            congruent_mod_phi(shared, QRat.zero(), 5, 1)
+            congruent_mod_phi(shared, QZERO, 5, 1)
         with pytest.raises(CongruenceDomainError, match="right denominator"):
-            congruent_mod_phi(QRat.zero(), shared, 5, 1)
+            congruent_mod_phi(QZERO, shared, 5, 1)
 
     def test_agrees_with_polynomial_gcd(self):
         # Phi_n | (1 - q^m) iff n | m; verify by actual division
@@ -231,7 +235,7 @@ class TestCongruentModPhi:
     def test_q_integer_of_multiple_vanishes(self):
         # [2n] / [2] has Phi_n as a factor
         f = QRat(P({0: 1, 10: -1}), FactoredDen((2,)))
-        assert congruent_mod_phi(f, QRat.zero(), 5, 1).holds
+        assert congruent_mod_phi(f, QZERO, 5, 1).holds
 
     def test_second_power_example(self):
         # q^(2n) == 2 q^n - 1 mod (q^n-1)^2 hence mod Phi_n^2
@@ -257,7 +261,7 @@ class TestCongruentModPhi:
     def test_rejects_bad_denominator(self):
         f = QRat(LaurentPoly.one(), FactoredDen((10,)))
         with pytest.raises(CongruenceDomainError):
-            congruent_mod_phi(f, QRat.zero(), 5, 1)
+            congruent_mod_phi(f, QZERO, 5, 1)
 
     def test_negative_exponents_are_units(self):
         # q^-1 == q^(n-1) mod Phi_n
@@ -268,8 +272,8 @@ class TestCongruentModPhi:
         # [n]/[1] = 1 + q + ... + q^(n-1) == n mod Phi_n? No: it IS Phi_n
         # times a unit only for prime n; for n = 5 it vanishes mod Phi_5.
         q5 = QRat(P({0: 1, 5: -1}), FactoredDen((1,)))
-        assert congruent_mod_phi(q5, QRat.zero(), 5, 1).holds
-        assert not congruent_mod_phi(q5, QRat.zero(), 5, 2).holds
+        assert congruent_mod_phi(q5, QZERO, 5, 1).holds
+        assert not congruent_mod_phi(q5, QZERO, 5, 2).holds
 
 
 class TestVerdict:

@@ -211,6 +211,21 @@ def test_div_one_minus_rejects_non_multiple(f, m, e, c):
         (f.times_one_minus(m) + LaurentPoly.monomial(e, c)).div_one_minus(m)
 
 
+nonzero_polys = polys.filter(lambda f: not f.is_zero)
+nonzero_m = st.integers(min_value=-8, max_value=8).filter(lambda m: m != 0)
+
+
+@given(nonzero_polys, nonzero_polys, nonzero_m, coeffs.filter(lambda c: c != 0))
+def test_untrimmed_results_are_canonical(f, g, m, c):
+    """The operations that skip the trim scan on nonzero operands give what
+    the trimming constructor gives on the same coefficients."""
+    for r in (f.times_one_minus(m), f.shift(m), -f, f * g, f * c, c * f,
+              f.times_one_minus(m).div_one_minus(m)):
+        assert type(r.coeffs) is tuple
+        assert r == LaurentPoly(r.low, list(r.coeffs))
+        assert r.coeffs[0] and r.coeffs[-1]
+
+
 def test_one_minus_by_hand():
     assert (1 + Q).times_one_minus(2) == P({0: 1, 1: 1, 2: -1, 3: -1})
     assert P({0: 1, 3: -1}).div_one_minus(1) == P({0: 1, 1: 1, 2: 1})

@@ -20,6 +20,10 @@ def P(d):
     return LaurentPoly.from_dict(d)
 
 
+#: the zero rational function (no denominator)
+QZERO = QRat(LaurentPoly.zero())
+
+
 def q_integer(m: int, b: int = 1) -> QRat:
     """[m]_{q^b} = (1 - q^{mb}) / (1 - q^b) for nonzero integer m."""
     if m == 0:
@@ -110,7 +114,7 @@ class TestGaussBinomial:
 class TestQRatArithmetic:
     def test_add_zero(self):
         f = q_integer(3, 2)
-        assert f + QRat.zero() == f
+        assert f + QZERO == f
 
     def test_mul_one(self):
         f = q_integer(-2, 3)

@@ -1,9 +1,10 @@
 """The proof-step sums against their term-by-term QRat construction.
 
-The package builds every proof-step sum as one numerator over the
-max-multiplicity union of its denominators (``union_sum``), which QRat
-addition and equality also go through, and every Gaussian binomial by
-one-factor exact division.  This module keeps the slow constructions as
+The package builds every proof-step sum as one numerator over its
+denominator, known in advance, by Horner's rule (``theorems._horner``),
+adds QRats over the max-multiplicity union of their denominators
+(``union_sum``), and builds every Gaussian binomial by one-factor exact
+division.  This module keeps the slow constructions as
 the reference: each sum added one QRat at a time with ``ref_add``, the
 plain definition of a sum over the union denominator with multiplied-out
 factors, and each Gaussian binomial as the long-division quotient of two
@@ -21,10 +22,14 @@ from hypothesis import given, strategies as st
 
 from qcongruence import theorems
 from qcongruence.congruence import congruent_mod_phi
+from qcongruence.cyclotomic import cyclotomic
 from qcongruence.polyring import LaurentPoly
-from qcongruence.qcombinatorics import FactoredDen, QRat, gauss_binomial, union_sum
+from qcongruence.qcombinatorics import (
+    FactoredDen, QRat, binom_rational_index, gauss_binomial, union_sum)
 
 ONE = LaurentPoly.one()
+#: the zero rational function (no denominator)
+QZERO = QRat(LaurentPoly.zero())
 
 
 # -- reference constructions -----------------------------------------------
@@ -74,7 +79,7 @@ def ref_binom_rational_index(r, d, k):
 
 
 def ref_chu_tail(d, k, head, row):
-    tail = QRat.zero()
+    tail = QZERO
     for j in range(1, k + 1):
         exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
         tail = ref_add(tail, QRat(head.shift(exp) * row[k - j] * (-1) ** j,
@@ -84,7 +89,7 @@ def ref_chu_tail(d, k, head, row):
 
 def ref_harmonic(d, terms):
     one_minus_qd = ONE - LaurentPoly.monomial(d)
-    total = QRat.zero()
+    total = QZERO
     for j, e in terms:
         total = ref_add(total, QRat(one_minus_qd.shift(e), FactoredDen((j * d,))))
     return total
@@ -98,7 +103,7 @@ def ref_harmonic_tail(d, a, js):
 def ref_double_sum(n, d, outer_top, inner_top):
     inner_row = [ref_gauss_binomial(inner_top, i, d) for i in range(n - 1)]
     head = ONE - LaurentPoly.monomial(d)
-    total = QRat.zero()
+    total = QZERO
     for k in range(1, n):
         inner = ref_chu_tail(d, k, head, inner_row)
         total = ref_add(
@@ -151,7 +156,7 @@ def ref_step_expansion(n, d, r):
 
 
 def ref_equivalent_form_sum(n, d, r):
-    acc = QRat.zero()
+    acc = QZERO
     for k in range(n):
         term = ref_binom_rational_index(r, d, k) * ref_binom_rational_index(d - r, d, k)
         acc = ref_add(acc, term.shift(d * k * k))
@@ -197,6 +202,59 @@ def test_proof_steps_match_reference(n):
                             ref_equivalent_form_sum(n, d, r)), where
 
 
+def grid_instances(n):
+    """The non-degenerate (d, r, inst) of the proof-step grid at n."""
+    for d in range(2, 7):
+        if gcd(n, d) == 1:
+            for r in range(1, 2 * d + 1):
+                inst = theorems.derive_instance(n, d, r)
+                if not inst.degenerate:
+                    yield d, r, inst
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_loose_binom_shift_witnesses_match_union_sum(n, monkeypatch):
+    """No binomial-shift check fails on the grid, so drop the head monomial
+    q^{sdn k}: the loose shift holds mod Phi_n and fails mod Phi_n^2.  The
+    Horner path must give the witness of congruent_mod_phi on union_sum."""
+    real_row = theorems.gauss_binomial_row
+    failed = 0
+    for d, r, inst in grid_instances(n):
+        for k in range(n):
+            row = real_row(inst.a, k, d)
+            # the head is row[k] times q^{sdn k}; the tail never reads row[k]
+            loose_row = row[:-1] + [row[k].shift(-inst.sdn * k)]
+            monkeypatch.setattr(theorems, "gauss_binomial_row",
+                                lambda *_: loose_row)
+            got = theorems.step_binom_shift(n, d, r, k)
+            tail = [(num, (m,)) for num, m in theorems._chu_tail(d, k, inst.sdn, row, -1)]
+            expected = congruent_mod_phi(binom_rational_index(r, d, k),
+                                         union_sum([(row[k], ()), *tail]), n, 2)
+            assert got == expected, (n, d, r, k)
+            if not got.holds:
+                failed += 1
+                assert got.witness.divrem(cyclotomic(n))[1].is_zero, (n, d, r, k)
+    assert failed
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_flipped_final3_final4_witnesses_match_union_sum(n, monkeypatch):
+    """step_final3_final4 with the right side's sign flipped: the Horner
+    path must give the witness of congruent_mod_phi on union_sum."""
+    real_tail = theorems._harmonic_tail
+    monkeypatch.setattr(theorems, "_harmonic_tail", lambda *args: -real_tail(*args))
+    failed = 0
+    for d, r, inst in grid_instances(n):
+        a = inst.a
+        rhs = real_tail(d, a, range(a + 1, n))
+        expected = congruent_mod_phi(theorems._double_sum(n, d, -1 - a, a),
+                                     -rhs if a % 2 else rhs, n, 1)
+        got = theorems.step_final3_final4(n, d, r)
+        assert got == expected, (n, d, r)
+        failed += not got.holds
+    assert failed
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_equivalent_form_sum_matches_reference(n):
     """The running-numerator binomial products against the term-by-term
@@ -228,10 +286,36 @@ factor_lists = st.lists(st.integers(min_value=1, max_value=4), max_size=4)
 
 @given(st.lists(st.tuples(small_polys, factor_lists), max_size=6))
 def test_union_sum_is_term_by_term_qrat_sum(terms):
-    expected = QRat.zero()
+    expected = QZERO
     for num, factors in terms:
         expected = ref_add(expected, QRat(num, FactoredDen(tuple(factors))))
     assert same(union_sum(terms), expected)
+
+
+distinct_factors = st.lists(st.integers(min_value=1, max_value=9), unique=True,
+                            max_size=5)
+
+
+@given(small_polys, distinct_factors, st.data())
+def test_horner_single_factor_sum_is_union_sum(head, ms, data):
+    """acc + sum num_j / (1 - q^{m_j}): the Horner loop with its running
+    prefix product against union_sum, numerator and denominator."""
+    nums = data.draw(st.lists(small_polys, min_size=len(ms), max_size=len(ms)))
+    expected = union_sum([(head, ()), *((num, (m,)) for num, m in zip(nums, ms))])
+    got = QRat(theorems._horner(zip(nums, ms), head), FactoredDen(tuple(ms)))
+    assert same(got, expected)
+
+
+@given(small_polys, distinct_factors, st.data())
+def test_horner_nested_prefix_sum_is_union_sum(head, ms, data):
+    """acc + sum num_j / prod_{i<=j} (1 - q^{m_i}): the nested Horner loop
+    against union_sum, numerator and denominator."""
+    nums = data.draw(st.lists(small_polys, min_size=len(ms), max_size=len(ms)))
+    expected = union_sum([(head, ()), *((num, tuple(ms[:j + 1]))
+                                        for j, num in enumerate(nums))])
+    got = QRat(theorems._horner(zip(nums, ms), head, nested=True),
+               FactoredDen(tuple(ms)))
+    assert same(got, expected)
 
 
 def test_gauss_binomial_matches_pochhammer_quotient():

@@ -437,6 +437,27 @@ class TestProofSteps:
             for k in range(n):
                 assert step_binom_shift(n, d, r, k).holds, (n, d, r, k)
 
+    @pytest.mark.parametrize("step,args,calls", [
+        # row 6 + Pochhammer 6 + tail terms 6 + accumulator 6 + prefix 5
+        (step_binom_shift, (7, 5, 2, 6), 29),
+        # rows 5 + 6, per outer k: tail terms k, accumulator k, prefix k - 1;
+        # outer accumulator 6; right side 5 + 4 + 1 and one missing factor
+        (step_final3_final4, (7, 5, 2), 85),
+    ])
+    def test_laurent_factor_count(self, monkeypatch, step, args, calls):
+        """Count LaurentPoly.times_one_minus calls, so that a product
+        formed and never read fails here."""
+        counted = []
+        times_one_minus = LaurentPoly.times_one_minus
+
+        def counting(self, m):
+            counted.append(m)
+            return times_one_minus(self, m)
+
+        monkeypatch.setattr(LaurentPoly, "times_one_minus", counting)
+        assert step(*args).holds
+        assert len(counted) == calls
+
     def test_binom_shift_rejects_bad_k(self):
         with pytest.raises(ValueError):
             step_binom_shift(5, 3, 1, 5)
