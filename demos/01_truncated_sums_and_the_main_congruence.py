@@ -31,11 +31,12 @@ print(f"  residue index a = {inst.a}   (a d + r = {inst.a * d + r} = "
 print(f"  predicted value: {'-' if inst.sign < 0 else ''}q^{inst.e}")
 
 # The sum itself, as an exact rational function.  The denominator is a
-# product of binomials (1 - q^m) kept in factored form, so coprimality
-# with Phi_n is a purely arithmetic check (n divides no exponent m).
+# product of binomials (1 - q^m), kept as the sorted tuple of the
+# exponents m, so coprimality with Phi_n is a purely arithmetic check
+# (n divides no exponent m).
 lhs = phi21_truncated(r, d - r, d, d, 0, n)
 print(f"\nnumerator degree: {lhs.num.degree}")
-print(f"denominator factors (1 - q^m) for m in: {lhs.den.factors}")
+print(f"denominator factors (1 - q^m) for m in: {lhs.factors}")
 
 # The modulus: Phi_5(q)^2 = (1 + q + q^2 + q^3 + q^4)^2.
 print(f"\nPhi_{n}(q) = {cyclotomic(n)}")

@@ -9,7 +9,6 @@ No floating point is used anywhere.
 from .polyring import LaurentPoly
 from .cyclotomic import cyclotomic, euler_totient
 from .qcombinatorics import (
-    FactoredDen,
     QRat,
     gauss_binomial,
     poch_to_binom_check,

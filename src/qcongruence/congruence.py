@@ -1,17 +1,18 @@
 """Congruences of exact rational functions modulo Phi_n(q)^k, plus the
 small amount of elementary number theory the statements need.
 
-A congruence f == g (mod Phi_n^k) between QRats with denominators
-invertible modulo Phi_n (checked on their factor exponents) is decided on
-the numerator Delta of f - g over the max-multiplicity union of the two
-denominators (``union_sum``), a unit modulo Phi_n: the congruence holds
-exactly when Phi_n^k divides Delta.  Delta is folded into the residue
-ring Z[q]/((q^N - eps)^k) (``Residue``), (N, eps) = (n/2, -1) for even n
-and (n, 1) for odd n, the least binomial modulus that Phi_n^k divides;
-there q is a unit and every element is k vectors of length N.  The
-verdict is the remainder of the folded Delta, a polynomial of degree
-< k N, under exact division by the monic polynomial Phi_n^k, which does
-not depend on the multiple of Phi_n^k that the ring is built on.
+A congruence f == g (mod Phi_n^k) whose denominators are units modulo
+Phi_n holds exactly when Phi_n^k divides the numerator Delta of f - g
+over a common denominator, so every verdict comes from folding such a
+numerator into the residue ring Z[q]/((q^N - eps)^k) (``Residue``,
+``fold_mod_binomial_power``), (N, eps) = (n/2, -1) for even n and (n, 1)
+for odd n, the least binomial modulus that Phi_n^k divides; there q is a
+unit and every element is k vectors of length N.  The verdict is the
+remainder of the folded Delta, a polynomial of degree < k N, under exact
+division by the monic polynomial Phi_n^k, which does not depend on the
+multiple of Phi_n^k that the ring is built on.  ``congruent_mod_phi``,
+the exact oracle, takes Delta over the max-multiplicity union of two
+QRat denominators (``union_sum``), checked coprime to Phi_n.
 """
 
 from __future__ import annotations
@@ -244,8 +245,8 @@ def congruent_mod_phi(f: QRat, g: QRat, n: int, k: int) -> Verdict:
         raise ValueError("need n >= 1 and k >= 1")
     for side, name in ((f, "left"), (g, "right")):
         # Phi_n divides (1 - q^m) exactly when n divides m
-        if any(m % n == 0 for m in side.den.factors):
+        if any(m % n == 0 for m in side.factors):
             raise CongruenceDomainError(
                 f"{name} denominator shares a factor with Phi_{n}")
-    delta = union_sum([(f.num, f.den.factors), (-g.num, g.den.factors)])
+    delta = union_sum([(f.num, f.factors), (-g.num, g.factors)])
     return fold_mod_binomial_power(delta.num, n, k).verdict()

@@ -2,18 +2,21 @@
 with structurally factored denominators.
 
 The only denominators ever needed are products of factors (1 - q^m); a
-QRat keeps that structure explicit instead of reducing to lowest terms,
-so that ``congruence.congruent_mod_phi`` reads coprimality with Phi_n off
-the factor exponents.  A constant lives in the integer numerator, and
-without a denominator (the empty product) QRat(p) is the polynomial p.
+QRat keeps that structure explicit, as the sorted tuple of the exponents
+m, instead of reducing to lowest terms, so that
+``congruence.congruent_mod_phi`` reads coprimality with Phi_n off the
+factors.  A constant lives in the integer numerator, and without a
+denominator (the empty product) QRat(p) is the polynomial p.
 
 Products and quotients by (1 - q^m) are single passes over a coefficient
 list (``LaurentPoly.times_one_minus``/``div_one_minus``): Pochhammer
 symbols multiply in one factor at a time, Gaussian binomials come from
 one-factor exact divisions, a whole row [N, 0..k] at once, and
 ``union_sum`` builds a sum of terms over their union denominator by
-Horner's rule, for QRat arithmetic and ``congruence.congruent_mod_phi``;
-``theorems`` builds its proof-step sums over denominators known in advance.
+Horner's rule.  No verifier decides through QRat: ``theorems`` folds
+numerators over denominators known in advance, and QRat arithmetic with
+``union_sum`` and ``congruent_mod_phi`` is the exact oracle the tests
+compare them with.
 """
 
 from __future__ import annotations
@@ -21,52 +24,28 @@ from __future__ import annotations
 from .polyring import LaurentPoly
 
 
-class FactoredDen:
-    """A multiset of factors (1 - q^m), standing for their product, as the
-    sorted tuple of the exponents m >= 1.  Immutable."""
+class QRat:
+    """Exact rational function num / prod(1 - q^m), num in Z[q, 1/q], the
+    product given by ``factors``, the sorted tuple of the exponents m >= 1.
+    Immutable; equality is semantic (``union_sum``)."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("num", "factors")
 
-    def __init__(self, factors: tuple):
+    def __init__(self, num: LaurentPoly, factors=()):
         factors = tuple(sorted(factors))
         if factors and factors[0] < 1:
             raise ValueError("denominator factor exponents must be >= 1")
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FactoredDen is immutable")
-
-    def __reduce__(self):
-        return FactoredDen, (self.factors,)
-
-    def __eq__(self, other):
-        return isinstance(other, FactoredDen) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
-
-    def __repr__(self):
-        return f"FactoredDen(factors={self.factors!r})"
-
-
-class QRat:
-    """Exact rational function num / prod(1 - q^m), num in Z[q, 1/q].
-    Immutable; equality is semantic (``union_sum``)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: FactoredDen = FactoredDen(())):
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "factors", factors)
 
     def __setattr__(self, name, value):
         raise AttributeError("QRat is immutable")
 
     def __reduce__(self):
-        return QRat, (self.num, self.den)
+        return QRat, (self.num, self.factors)
 
     def __repr__(self):
-        return f"QRat(num={self.num!r}, den={self.den!r})"
+        return f"QRat(num={self.num!r}, factors={self.factors!r})"
 
     @staticmethod
     def monomial(exp: int, coef: int = 1) -> "QRat":
@@ -76,13 +55,13 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return union_sum([(self.num, self.den.factors),
-                          (other.num, other.den.factors)])
+        return union_sum([(self.num, self.factors),
+                          (other.num, other.factors)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "QRat":
-        return QRat(-self.num, self.den)
+        return QRat(-self.num, self.factors)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -98,11 +77,10 @@ class QRat:
 
     def __mul__(self, other) -> "QRat":
         if isinstance(other, (int, LaurentPoly)):
-            return QRat(self.num * other, self.den)
+            return QRat(self.num * other, self.factors)
         if not isinstance(other, QRat):
             return NotImplemented
-        return QRat(self.num * other.num,
-                    FactoredDen(self.den.factors + other.den.factors))
+        return QRat(self.num * other.num, self.factors + other.factors)
 
     __rmul__ = __mul__
 
@@ -117,7 +95,7 @@ class QRat:
 
     def shift(self, m: int) -> "QRat":
         """Multiply by q**m."""
-        return QRat(self.num.shift(m), self.den)
+        return QRat(self.num.shift(m), self.factors)
 
 
 def union_sum(terms) -> QRat:
@@ -143,8 +121,7 @@ def union_sum(terms) -> QRat:
                 acc = acc.times_one_minus(m)
                 union[m] = union.get(m, 0) + 1
         acc = acc + num
-    return QRat(acc, FactoredDen(tuple(
-        m for m, c in union.items() for _ in range(c))))
+    return QRat(acc, (m for m, c in union.items() for _ in range(c)))
 
 
 def _coerce(x):
@@ -204,8 +181,7 @@ def binom_rational_index(r: int, d: int, k: int) -> QRat:
     if k < 0:
         raise ValueError("lower index must be >= 0")
     num = q_pochhammer(r, d, k).shift(-r * k - d * (k * (k - 1) // 2))
-    return QRat(-num if k % 2 else num,
-                FactoredDen(tuple(d * j for j in range(1, k + 1))))
+    return QRat(-num if k % 2 else num, (d * j for j in range(1, k + 1)))
 
 
 def poch_to_binom_check(r: int, d: int, k: int) -> bool:

@@ -21,7 +21,6 @@ from .congruence import (
     CongruenceDomainError,
     Residue,
     Verdict,
-    congruent_mod_phi,
     fold_mod_binomial_power,
     is_odd_prime,
     legendre,
@@ -29,7 +28,6 @@ from .congruence import (
 )
 from .polyring import LaurentPoly
 from .qcombinatorics import (
-    FactoredDen,
     QRat,
     binom_rational_index,
     gauss_binomial_row,
@@ -106,7 +104,7 @@ def phi21_truncated(u: int, v: int, w: int, b: int, c: int, N: int) -> QRat:
         num = num + t.shift(c * k)
     factors = tuple(w + j * b for j in range(N - 1)) \
         + tuple(j * b for j in range(1, N))
-    return QRat(num, FactoredDen(factors))
+    return QRat(num, factors)
 
 
 def equivalent_form_sum(n: int, d: int, r: int) -> QRat:
@@ -273,7 +271,7 @@ def _harmonic(d: int, terms, c: int = 1, acc=LaurentPoly.zero()) -> LaurentPoly:
 def _harmonic_tail(d: int, a: int, js) -> QRat:
     """sum over j in js of q^{-d(a+1)(a-2j)/2} / [j]_{q^d}."""
     return QRat(_harmonic(d, ((j, _half_exponent(-d * (a + 1) * (a - 2 * j)))
-                              for j in js)), FactoredDen(tuple(j * d for j in js)))
+                              for j in js)), (j * d for j in js))
 
 
 def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
@@ -307,8 +305,7 @@ def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> QRat:
     # term k is over (q^d;q^d)_k; a zero term still brings its factor
     terms = (((_horner(_chu_tail(d, k, d, inner_row)) * row).shift(d * k * k)
               if row.coeffs else row, d * k) for k, row in enumerate(outer_row) if k)
-    return QRat(_horner(terms, nested=True),
-                FactoredDen(tuple(d * k for k in range(1, n))))
+    return QRat(_horner(terms, nested=True), (d * k for k in range(1, n)))
 
 
 def step_final2(n: int, d: int, a: int) -> bool:
@@ -390,7 +387,8 @@ def step_expansion(n: int, d: int, r: int) -> Verdict:
     c2 = 2 * a + 1 - n
     # by arithmetic, so that sdn = 0 (r = 0) leaves the constant 2
     rhs = LaurentPoly.constant(2 + c2) - LaurentPoly.monomial(sdn, c2)
-    return congruent_mod_phi(QRat.monomial(e_exp, 2), QRat(rhs), n, 2)
+    return fold_mod_binomial_power(LaurentPoly.monomial(e_exp, 2) - rhs,
+                                   n, 2).verdict()
 
 
 def verify_proof_consistent_form(n: int, d: int, r: int) -> Verdict:

@@ -318,8 +318,8 @@ def test_criterion_6_degenerate_boundary():
     assert inst.degenerate
     lhs = phi21_truncated(3, 0, 3, 3, 0, 2)
     rhs = QRat.monomial(inst.e, inst.sign)
-    delta = lhs.num * _den_product(rhs.den.factors) \
-        - rhs.num * _den_product(lhs.den.factors)
+    delta = lhs.num * _den_product(rhs.factors) \
+        - rhs.num * _den_product(lhs.factors)
     modulus = LaurentPoly.from_dict({0: 1, 1: 1}) ** 2
     _, rem = delta.shift(max(0, -delta.low)).divrem(modulus)
     oracle_holds = rem.is_zero

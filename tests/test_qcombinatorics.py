@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from qcongruence.polyring import LaurentPoly
 from qcongruence.qcombinatorics import (
-    FactoredDen,
     QRat,
     binom_rational_index,
     gauss_binomial,
@@ -28,13 +27,13 @@ def q_integer(m: int, b: int = 1) -> QRat:
     """[m]_{q^b} = (1 - q^{mb}) / (1 - q^b) for nonzero integer m."""
     if m == 0:
         raise ValueError("q_integer is undefined at m = 0; use a zero QRat")
-    return QRat(P({0: 1, m * b: -1}), FactoredDen((b,)))
+    return QRat(P({0: 1, m * b: -1}), (b,))
 
 
 def value(f: QRat, x) -> Fraction:
     """f at a rational point where its denominator does not vanish."""
     den = Fraction(1)
-    for m in f.den.factors:
+    for m in f.factors:
         den *= 1 - Fraction(x) ** m
     if den == 0:
         raise ZeroDivisionError(f"denominator vanishes at q={x}")
@@ -122,17 +121,17 @@ class TestQRatArithmetic:
 
     def test_harmonic_two_terms(self):
         # 1/[1] + 1/[2] = (1 - q^2 + 1 - q) / ((1-q)(1-q^2)) up to representation
-        inv1 = QRat(LaurentPoly.one(), FactoredDen(()))
-        inv2 = QRat(P({0: 1, 1: -1}), FactoredDen((2,)))
+        inv1 = QRat(LaurentPoly.one(), ())
+        inv2 = QRat(P({0: 1, 1: -1}), (2,))
         total = inv1 + inv2
         expected = QRat(P({0: 2, 1: -1, 2: -1}),
-                        FactoredDen((2,)))
+                        (2,))
         assert total == expected
 
     def test_denominator_union_not_product(self):
-        f = QRat(LaurentPoly.one(), FactoredDen((2, 3)))
-        g = QRat(LaurentPoly.one(), FactoredDen((3, 5)))
-        assert sorted((f + g).den.factors) == [2, 3, 5]
+        f = QRat(LaurentPoly.one(), (2, 3))
+        g = QRat(LaurentPoly.one(), (3, 5))
+        assert sorted((f + g).factors) == [2, 3, 5]
 
     @given(st.integers(min_value=2, max_value=7),
            st.integers(min_value=-5, max_value=5).filter(lambda m: m != 0),
@@ -210,7 +209,14 @@ class TestQChuVandermonde:
                         assert qchu_check(form, n, m, k), (form, n, m, k)
 
 
-class TestFactoredDenInvariants:
+class TestQRatInvariants:
     def test_rejects_nonpositive_exponent(self):
-        with pytest.raises(ValueError):
-            FactoredDen((0,))
+        for factors in ((0,), (2, -1), (-3,)):
+            with pytest.raises(ValueError):
+                QRat(LaurentPoly.one(), factors)
+
+    def test_factors_are_a_sorted_tuple(self):
+        p = P({0: 1, 2: -3})
+        assert QRat(p, (3, 1, 2)).factors == (1, 2, 3)
+        assert QRat(p, [3, 1, 2]).factors == (1, 2, 3)
+        assert QRat(p).factors == ()

@@ -25,7 +25,7 @@ from qcongruence.congruence import congruent_mod_phi
 from qcongruence.cyclotomic import cyclotomic
 from qcongruence.polyring import LaurentPoly
 from qcongruence.qcombinatorics import (
-    FactoredDen, QRat, binom_rational_index, gauss_binomial, union_sum)
+    QRat, binom_rational_index, gauss_binomial, union_sum)
 
 ONE = LaurentPoly.one()
 #: the zero rational function (no denominator)
@@ -49,11 +49,11 @@ def ref_pochhammer(u, b, k):
 
 def ref_add(f, g):
     """f + g over the max-multiplicity union of the two denominators."""
-    fc, gc = Counter(f.den.factors), Counter(g.den.factors)
+    fc, gc = Counter(f.factors), Counter(g.factors)
     union = fc | gc
     num = (f.num * ref_den_product((union - fc).elements())
            + g.num * ref_den_product((union - gc).elements()))
-    return QRat(num, FactoredDen(tuple(union.elements())))
+    return QRat(num, tuple(union.elements()))
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +75,7 @@ def ref_binom_rational_index(r, d, k):
     sign = -1 if k % 2 else 1
     monomial = LaurentPoly.monomial(-r * k - d * (k * (k - 1) // 2), sign)
     return QRat(monomial * ref_pochhammer(r, d, k),
-                FactoredDen(tuple(d * j for j in range(1, k + 1))))
+                tuple(d * j for j in range(1, k + 1)))
 
 
 def ref_chu_tail(d, k, head, row):
@@ -83,7 +83,7 @@ def ref_chu_tail(d, k, head, row):
     for j in range(1, k + 1):
         exp = -d * j * (k - j) - d * (j * (j - 1) // 2)
         tail = ref_add(tail, QRat(head.shift(exp) * row[k - j] * (-1) ** j,
-                                  FactoredDen((j * d,))))
+                                  (j * d,)))
     return tail
 
 
@@ -91,7 +91,7 @@ def ref_harmonic(d, terms):
     one_minus_qd = ONE - LaurentPoly.monomial(d)
     total = QZERO
     for j, e in terms:
-        total = ref_add(total, QRat(one_minus_qd.shift(e), FactoredDen((j * d,))))
+        total = ref_add(total, QRat(one_minus_qd.shift(e), (j * d,)))
     return total
 
 
@@ -165,7 +165,7 @@ def ref_equivalent_form_sum(n, d, r):
 
 def same(x, y):
     """Equal numerator and equal factored denominator, not just equal value."""
-    return x.num == y.num and x.den == y.den
+    return x.num == y.num and x.factors == y.factors
 
 
 # -- the proof-step grid ---------------------------------------------------
@@ -288,7 +288,7 @@ factor_lists = st.lists(st.integers(min_value=1, max_value=4), max_size=4)
 def test_union_sum_is_term_by_term_qrat_sum(terms):
     expected = QZERO
     for num, factors in terms:
-        expected = ref_add(expected, QRat(num, FactoredDen(tuple(factors))))
+        expected = ref_add(expected, QRat(num, tuple(factors)))
     assert same(union_sum(terms), expected)
 
 
@@ -302,7 +302,7 @@ def test_horner_single_factor_sum_is_union_sum(head, ms, data):
     prefix product against union_sum, numerator and denominator."""
     nums = data.draw(st.lists(small_polys, min_size=len(ms), max_size=len(ms)))
     expected = union_sum([(head, ()), *((num, (m,)) for num, m in zip(nums, ms))])
-    got = QRat(theorems._horner(zip(nums, ms), head), FactoredDen(tuple(ms)))
+    got = QRat(theorems._horner(zip(nums, ms), head), tuple(ms))
     assert same(got, expected)
 
 
@@ -314,7 +314,7 @@ def test_horner_nested_prefix_sum_is_union_sum(head, ms, data):
     expected = union_sum([(head, ()), *((num, tuple(ms[:j + 1]))
                                         for j, num in enumerate(nums))])
     got = QRat(theorems._horner(zip(nums, ms), head, nested=True),
-               FactoredDen(tuple(ms)))
+               tuple(ms))
     assert same(got, expected)
 
 

@@ -108,7 +108,7 @@ class TestPhi21Truncated:
                                    (2, 3, 5, 5, 2, 3), (1, 4, 5, 5, 0, 6)]:
             f = phi21_truncated(u, v, w, b, c, N)
             den = Fraction(1)
-            for m in f.den.factors:
+            for m in f.factors:
                 den *= 1 - x ** m
             assert f.num(x) / den == direct(u, v, w, b, c, N, x), \
                 (u, v, w, b, c, N)
@@ -153,7 +153,7 @@ class TestMainTheorem:
         corrected = corrected.shift(-d * (inst.a * (inst.a + 1) // 2))
         folded_c = verify_proof_consistent_form(n, d, r)
         exact_c = congruent_mod_phi(
-            QRat(lhs.num * 2, lhs.den),
+            QRat(lhs.num * 2, lhs.factors),
             QRat(corrected * inst.sign), n, 2)
         assert (folded_c.holds, folded_c.witness) == \
             (exact_c.holds, exact_c.witness), (n, d, r)
@@ -401,6 +401,8 @@ class TestMainTheorem:
     def test_round_trips_through_pickle_and_copy(self, make, dup):
         original, twin = make(), dup(make())
         assert type(twin) is type(original) and twin == original
+        if isinstance(original, QRat):  # the same representation, not only value
+            assert (twin.num, twin.factors) == (original.num, original.factors)
         if isinstance(original, Verdict):
             assert twin.witness == original.witness and hash(twin) == hash(original)
 
