@@ -124,11 +124,6 @@ def legendre(m: int, p: int) -> int:
 
 # -- the residue ring Z[q]/((q^N - eps)^k) ----------------------------------
 
-def _binom(M: int, j: int) -> int:
-    """The coefficient of t^j in (1 + t)^M, for any integer M."""
-    return comb(M, j) if M >= 0 else (-1) ** j * comb(j - M - 1, j)
-
-
 class Residue:
     """An element sum_{j<k} t^j c_j(q) of Z[q]/((q^N - eps)^k), t = q^N - eps.
 
@@ -174,7 +169,9 @@ class Residue:
                 list(map(wrap, lo[cut:], hi[cut:])) + hi[:cut]
                 for lo, hi in zip(c, c[1:])]
         if big:
-            binoms = [_binom(big, j) * eps ** (j % 2) for j in range(self.k)]
+            # the coefficient of t^j in (1 + eps t)^big, for any integer big
+            binoms = [comb(big, j) * eps ** j if big > 0 else
+                      comb(j - big - 1, j) * (-eps) ** j for j in range(self.k)]
             out = []
             for j, cj in enumerate(c):
                 for i in range(j):
@@ -217,24 +214,23 @@ class Residue:
 def fold_mod_binomial_power(p: LaurentPoly, n: int, k: int) -> Residue:
     """Reduce the Laurent polynomial p into Z[q]/((q^N - eps)^k).
 
-    Since q^{M N + s} = q^s (eps + t)^M, digit j at slot s is the strided
-    sum over M of binom(M, j) eps^{M - j} a_{M N + s}, a_e the coefficient
-    of q^e and M running from the block of p.low on; slots past the last
-    coefficient are zero.
+    Since q^{M N + s} = q^s (eps + t)^M, digit j at slot s of q^{-low} p,
+    low = p.low, is the strided sum over the blocks M >= 0 of
+    binom(M, j) eps^{M - j} a_{low + M N + s}, a_e the coefficient of q^e;
+    slots past the last coefficient are zero.  One ``Residue.shift`` by
+    low then multiplies by q^low.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     out = Residue(n, k, [])
-    N, eps = out.N, out.eps
-    big, s = divmod(p.low, N)
-    coeffs = [0] * s + list(p.coeffs)
+    N, eps, coeffs = out.N, out.eps, p.coeffs
     used = min(N, len(coeffs))
-    blocks = range(big, big - (-len(coeffs) // N))
+    blocks = range(-(-len(coeffs) // N))
     for j in range(k):
-        w = [_binom(M, j) * eps ** ((M - j) % 2) for M in blocks]
+        w = [comb(M, j) * eps ** ((M - j) % 2) for M in blocks]
         out.c.append([sum(map(mul, w, coeffs[i::N])) for i in range(used)]
                      + [0] * (N - used))
-    return out
+    return out.shift(p.low)
 
 
 def congruent_mod_phi(f: QRat, g: QRat, n: int, k: int) -> Verdict:

@@ -9,14 +9,14 @@ factors.  A constant lives in the integer numerator, and without a
 denominator (the empty product) QRat(p) is the polynomial p.
 
 Products and quotients by (1 - q^m) are single passes over a coefficient
-list (``LaurentPoly.times_one_minus``/``div_one_minus``): Pochhammer
-symbols multiply in one factor at a time, Gaussian binomials come from
-one-factor exact divisions, a whole row [N, 0..k] at once, and
-``union_sum`` builds a sum of terms over their union denominator by
-Horner's rule.  No verifier decides through QRat: ``theorems`` folds
-numerators over denominators known in advance, and QRat arithmetic with
-``union_sum`` and ``congruent_mod_phi`` is the exact oracle the tests
-compare them with.
+list (``LaurentPoly.times_one_minus``/``div_one_minus``): a product of
+such factors, a Pochhammer symbol or the factors a proof-step numerator
+lacks, is one ``factor_product``; Gaussian binomials come from one-factor
+exact divisions, a whole row [N, 0..k] at once, and ``union_sum`` builds
+a sum of terms over their union denominator by Horner's rule.  No
+verifier decides through QRat: ``theorems`` folds numerators over
+denominators known in advance, and QRat arithmetic with ``union_sum``
+and ``congruent_mod_phi`` is the exact oracle the tests compare them with.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ class QRat:
 
     def __init__(self, num: LaurentPoly, factors=()):
         factors = tuple(sorted(factors))
+        if any(type(m) is not int for m in factors):  # bools included
+            raise TypeError("denominator factor exponents must be ints")
         if factors and factors[0] < 1:
             raise ValueError("denominator factor exponents must be >= 1")
         object.__setattr__(self, "num", num)
@@ -134,14 +136,18 @@ def _coerce(x):
     return NotImplemented
 
 
+def factor_product(p: LaurentPoly, exponents) -> LaurentPoly:
+    """p prod_{m in exponents} (1 - q^m), one factor at a time."""
+    for m in exponents:
+        p = p.times_one_minus(m)
+    return p
+
+
 def q_pochhammer(u: int, b: int, k: int) -> LaurentPoly:
     """(q^u; q^b)_k = prod_{j=0}^{k-1} (1 - q^{u + j b})."""
     if k < 0:
         raise ValueError("Pochhammer length must be >= 0")
-    acc = LaurentPoly.one()
-    for j in range(k):
-        acc = acc.times_one_minus(u + j * b)
-    return acc
+    return factor_product(LaurentPoly.one(), (u + j * b for j in range(k)))
 
 
 def gauss_binomial_row(N: int, k: int, b: int = 1) -> list:

@@ -30,6 +30,7 @@ from .polyring import LaurentPoly
 from .qcombinatorics import (
     QRat,
     binom_rational_index,
+    factor_product,
     gauss_binomial_row,
     union_sum,
 )
@@ -91,11 +92,6 @@ def phi21_truncated(u: int, v: int, w: int, b: int, c: int, N: int) -> QRat:
     """
     if b < 1 or N < 1:
         raise ValueError("need base b >= 1 and N >= 1")
-    for j in range(N - 1):
-        if w + j * b < 1:
-            raise ValueError(
-                f"denominator Pochhammer factor (1 - q^{w + j * b}) is "
-                "vanishing or has nonpositive exponent")
     num = LaurentPoly.one()
     t = LaurentPoly.one()
     for k in range(1, N):
@@ -268,10 +264,12 @@ def _harmonic(d: int, terms, c: int = 1, acc=LaurentPoly.zero()) -> LaurentPoly:
                    acc).times_one_minus(d)
 
 
-def _harmonic_tail(d: int, a: int, js) -> QRat:
-    """sum over j in js of q^{-d(a+1)(a-2j)/2} / [j]_{q^d}."""
-    return QRat(_harmonic(d, ((j, _half_exponent(-d * (a + 1) * (a - 2 * j)))
-                              for j in js)), (j * d for j in js))
+def _harmonic_tail(n: int, d: int, a: int, js) -> LaurentPoly:
+    """The numerator over (q^d;q^d)_{n-1} of the sum over j in js, a
+    range within 1..n-1, of q^{-d(a+1)(a-2j)/2} / [j]_{q^d}."""
+    tail = _harmonic(d, ((j, _half_exponent(-d * (a + 1) * (a - 2 * j)))
+                         for j in js))
+    return factor_product(tail, (d * j for j in range(1, n) if j not in js))
 
 
 def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
@@ -295,8 +293,9 @@ def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
                                    n, 2).verdict()
 
 
-def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> QRat:
-    """sum_{k=1}^{n-1} q^{d k^2} [outer_top, k]
+def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> LaurentPoly:
+    """The numerator over (q^d;q^d)_{n-1} of
+       sum_{k=1}^{n-1} q^{d k^2} [outer_top, k]
            sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2}
                          [inner_top, k-j] / [j]      (base q^d)"""
     inner_row = gauss_binomial_row(inner_top, n - 2, d)
@@ -305,7 +304,7 @@ def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> QRat:
     # term k is over (q^d;q^d)_k; a zero term still brings its factor
     terms = (((_horner(_chu_tail(d, k, d, inner_row)) * row).shift(d * k * k)
               if row.coeffs else row, d * k) for k, row in enumerate(outer_row) if k)
-    return QRat(_horner(terms, nested=True), (d * k for k in range(1, n)))
+    return _horner(terms, nested=True)
 
 
 def step_final2(n: int, d: int, a: int) -> bool:
@@ -321,10 +320,8 @@ def step_final2(n: int, d: int, a: int) -> bool:
     """
     if not 0 <= a <= n - 1:
         raise ValueError("need 0 <= a <= n - 1")
-    rhs = _harmonic_tail(d, a, range(1, a + 1)).num
-    for j in range(a + 1, n):  # the factors that its denominator lacks
-        rhs = rhs.times_one_minus(d * j)
-    return _double_sum(n, d, a, -1 - a).num == (-rhs if a % 2 else rhs)
+    rhs = _harmonic_tail(n, d, a, range(1, a + 1))
+    return _double_sum(n, d, a, -1 - a) == (-rhs if a % 2 else rhs)
 
 
 def step_final3_final4(n: int, d: int, r: int) -> Verdict:
@@ -341,10 +338,8 @@ def step_final3_final4(n: int, d: int, r: int) -> Verdict:
     if inst.degenerate:
         raise ValueError("step requires a non-degenerate instance (d does not divide r)")
     a = inst.a
-    rhs = _harmonic_tail(d, a, range(a + 1, n)).num
-    for j in range(1, a + 1):  # the factors that its denominator lacks
-        rhs = rhs.times_one_minus(d * j)
-    return fold_mod_binomial_power(_double_sum(n, d, -1 - a, a).num
+    rhs = _harmonic_tail(n, d, a, range(a + 1, n))
+    return fold_mod_binomial_power(_double_sum(n, d, -1 - a, a)
                                    + (-rhs if a % 2 else rhs), n, 1).verdict()
 
 
@@ -370,6 +365,13 @@ def harmonic_twisted(n: int, d: int, a: int) -> Verdict:
     return fold_mod_binomial_power(diff, n, 1).verdict()
 
 
+def _closing_rhs(inst: TheoremInstance) -> LaurentPoly:
+    """2 + (2a+1-n)(1 - q^{sdn}), the closing right side times 2; built by
+    arithmetic, so that sdn = 0 (r = 0) leaves the constant 2."""
+    c2 = 2 * inst.a + 1 - inst.n
+    return LaurentPoly.constant(2 + c2) - LaurentPoly.monomial(inst.sdn, c2)
+
+
 def step_expansion(n: int, d: int, r: int) -> Verdict:
     """The closing expansion: with E = sdn ((n-1)/2 - a),
 
@@ -382,13 +384,9 @@ def step_expansion(n: int, d: int, r: int) -> Verdict:
     to the main statement for those instances.
     """
     inst = derive_instance(n, d, r)
-    a, sdn = inst.a, inst.sdn
-    e_exp = _half_exponent(sdn * (n - 1 - 2 * a))
-    c2 = 2 * a + 1 - n
-    # by arithmetic, so that sdn = 0 (r = 0) leaves the constant 2
-    rhs = LaurentPoly.constant(2 + c2) - LaurentPoly.monomial(sdn, c2)
-    return fold_mod_binomial_power(LaurentPoly.monomial(e_exp, 2) - rhs,
-                                   n, 2).verdict()
+    e_exp = _half_exponent(inst.sdn * (n - 1 - 2 * inst.a))
+    return fold_mod_binomial_power(LaurentPoly.monomial(e_exp, 2)
+                                   - _closing_rhs(inst), n, 2).verdict()
 
 
 def verify_proof_consistent_form(n: int, d: int, r: int) -> Verdict:
@@ -403,12 +401,10 @@ def verify_proof_consistent_form(n: int, d: int, r: int) -> Verdict:
     closing expansion step.
     """
     inst = derive_instance(n, d, r)
-    a, sdn = inst.a, inst.sdn
-    one = fold_mod_binomial_power(LaurentPoly.one(), n, 2)
     # both sides times 2, which clears the half-integer (2a+1-n)/2
-    c2 = 2 * a + 1 - n
-    rhs = (one * (2 + c2) - one.shift(sdn) * c2).shift(-d * (a * (a + 1) // 2))
-    return _folded_verdict(one * 2, rhs * inst.sign, d, r)
+    rhs = _closing_rhs(inst).shift(-d * (inst.a * (inst.a + 1) // 2))
+    return _folded_verdict(fold_mod_binomial_power(LaurentPoly.constant(2), n, 2),
+                           fold_mod_binomial_power(rhs * inst.sign, n, 2), d, r)
 
 
 # -- classical (q -> 1) side ----------------------------------------------

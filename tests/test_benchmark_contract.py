@@ -3,9 +3,12 @@
 Its tracer wraps package internals by name and reads some of their
 fields, so a refactor that still passes every other test can break it.
 This runs a short traced pass of each workload as ``perfbench/run.py``
-is run: from the repository root, in a fresh interpreter.  Together they
-call every public function the workloads use and reach three of the four
-tracer probes; ``sweep`` is the one with failing literal verdicts in bulk.
+is run: from the repository root, in a fresh interpreter.  Every
+function the tracer names must exist, so no pass may print a "not
+found" line, and the ``audit`` pass must spend time in
+``qcombinatorics.factor_product``.  Together the passes call every
+public function the workloads use and reach three of the four tracer
+probes; ``sweep`` is the one with failing literal verdicts in bulk.
 The fourth, the probe of ``congruent_mod_phi``, is the tracer's only read
 of a ``QRat`` field (``side.den.factors``, a layout ``QRat`` no longer
 has), so no workload may call ``congruent_mod_phi``.
@@ -19,14 +22,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# the tracer still names this function, deleted from the package
-KNOWN_MISSING = ["qcombinatorics.factor_product"]
-# TRACE_PASSES in perfbench/run.py: the tracer is installed, and reports
-# what it cannot find, once per traced pass
-TRACED_PASSES = {"audit": 1, "large_n": 1, "sweep": 4}
 
 
-@pytest.mark.parametrize("workload", list(TRACED_PASSES))
+@pytest.mark.parametrize("workload", ["audit", "large_n", "sweep"])
 def test_traced_benchmark_pass(workload):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -38,5 +36,8 @@ def test_traced_benchmark_pass(workload):
     assert result["correct"] is True and result["failed"] == 0
     missing = [line.split()[1] for line in lines
                if line.startswith("trace: ") and "not found in the package" in line]
-    assert missing == KNOWN_MISSING * TRACED_PASSES[workload]
-    assert result["metrics"]["congruence.congruent_mod_phi.calls"]["value"] == 0
+    assert missing == []
+    metrics = result["metrics"]
+    assert metrics["congruence.congruent_mod_phi.calls"]["value"] == 0
+    if workload == "audit":
+        assert metrics["qcombinatorics.factor_product.self_s"]["value"] > 0

@@ -215,6 +215,13 @@ class TestQRatInvariants:
             with pytest.raises(ValueError):
                 QRat(LaurentPoly.one(), factors)
 
+    def test_rejects_non_int_exponent(self):
+        # a float fails only deep inside times_one_minus, and a bool would
+        # be read as 1
+        for factors in ((1.5,), (True,), (2, 2.0)):
+            with pytest.raises(TypeError):
+                QRat(LaurentPoly.one(), factors)
+
     def test_factors_are_a_sorted_tuple(self):
         p = P({0: 1, 2: -3})
         assert QRat(p, (3, 1, 2)).factors == (1, 2, 3)

@@ -177,6 +177,7 @@ def test_proof_steps_match_reference(n):
     for d in range(2, 7):
         if gcd(n, d) != 1:
             continue
+        full = tuple(d * j for j in range(1, n))  # (q^d;q^d)_{n-1}
         assert theorems.harmonic_full(n, d) == ref_harmonic_full(n, d), (n, d)
         for r in range(1, 2 * d + 1):
             where = (n, d, r)
@@ -193,10 +194,11 @@ def test_proof_steps_match_reference(n):
                 ref_harmonic_twisted(n, d, a), where
             assert theorems.step_expansion(n, d, r) == \
                 ref_step_expansion(n, d, r), where
-            assert same(theorems._double_sum(n, d, a, -1 - a),
+            assert same(QRat(theorems._double_sum(n, d, a, -1 - a), full),
                         ref_double_sum(n, d, a, -1 - a)), where
-            assert same(theorems._harmonic_tail(d, a, range(a + 1, n)),
-                        ref_harmonic_tail(d, a, range(a + 1, n))), where
+            assert same(QRat(theorems._harmonic_tail(n, d, a, range(a + 1, n)), full),
+                        ref_add(ref_harmonic_tail(d, a, range(a + 1, n)),
+                                QRat(LaurentPoly.zero(), full))), where
             if n <= 8:
                 assert same(theorems.equivalent_form_sum(n, d, r),
                             ref_equivalent_form_sum(n, d, r)), where
@@ -246,9 +248,10 @@ def test_flipped_final3_final4_witnesses_match_union_sum(n, monkeypatch):
     failed = 0
     for d, r, inst in grid_instances(n):
         a = inst.a
-        rhs = real_tail(d, a, range(a + 1, n))
-        expected = congruent_mod_phi(theorems._double_sum(n, d, -1 - a, a),
-                                     -rhs if a % 2 else rhs, n, 1)
+        rhs = ref_harmonic_tail(d, a, range(a + 1, n))
+        lhs = QRat(theorems._double_sum(n, d, -1 - a, a),
+                   tuple(d * j for j in range(1, n)))
+        expected = congruent_mod_phi(lhs, -rhs if a % 2 else rhs, n, 1)
         got = theorems.step_final3_final4(n, d, r)
         assert got == expected, (n, d, r)
         failed += not got.holds

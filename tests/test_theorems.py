@@ -59,6 +59,21 @@ class TestDeriveInstance:
         inst = derive_instance(n, d, r)
         assert (inst.a, inst.e, inst.sign) == (a, e, sign)
 
+    def test_e_splits_at_the_closing_right_side(self):
+        # e = E - d a(a+1)/2 with E = sdn (n-1-2a)/2: q^e is the q^E of
+        # step_expansion times the q^{-d a(a+1)/2} of the corrected form,
+        # which both meet at the closing right side; criterion-1 grid with
+        # every r = 0..2d, so d | r included
+        seen = 0
+        for n, d, _ in grid(40, 10, 1):
+            for r in range(2 * d + 1):
+                inst = derive_instance(n, d, r)
+                a, twice_E = inst.a, inst.sdn * (n - 1 - 2 * inst.a)
+                assert twice_E % 2 == 0, (n, d, r)
+                assert inst.e == twice_E // 2 - d * (a * (a + 1) // 2), (n, d, r)
+                seen += 1
+        assert seen == 2587
+
     def test_sdn_relation(self):
         for n, d, r in grid(9, 7, 7, include_degenerate=True):
             inst = derive_instance(n, d, r)
@@ -445,6 +460,10 @@ class TestProofSteps:
         # rows 5 + 6, per outer k: tail terms k, accumulator k, prefix k - 1;
         # outer accumulator 6; right side 5 + 4 + 1 and one missing factor
         (step_final3_final4, (7, 5, 2), 85),
+        # rows 5 + 6; [1, k] = 0 for k > 1, so outer k = 1 alone: tail term
+        # 1, accumulator 1; outer accumulator 6; right side 1 + 1 and five
+        # missing factors
+        (step_final2, (7, 5, 1), 26),
     ])
     def test_laurent_factor_count(self, monkeypatch, step, args, calls):
         """Count LaurentPoly.times_one_minus calls, so that a product
@@ -457,7 +476,7 @@ class TestProofSteps:
             return times_one_minus(self, m)
 
         monkeypatch.setattr(LaurentPoly, "times_one_minus", counting)
-        assert step(*args).holds
+        assert bool(step(*args))  # step_final2 returns a plain bool
         assert len(counted) == calls
 
     def test_binom_shift_rejects_bad_k(self):
