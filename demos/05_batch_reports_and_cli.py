@@ -43,7 +43,7 @@ for line in report.to_csv().splitlines()[:4]:
 # The installed console script exposes the same functionality:
 #
 #   qcongruence verify --n 5 --d 3 --r 1
-#   qcongruence steps  --n 7 --d 5 --r 2 --format json
+#   qcongruence verify --n 7 --d 5 --r 2 --steps --format json
 #   qcongruence sweep  --n-max 12 --d-max 6 --r-max 5 --format csv
 #   qcongruence classical --alpha 1/2,1/3 --p-max 37
 #   qcongruence special --case qmor3 --p-max 37

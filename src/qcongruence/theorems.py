@@ -32,7 +32,6 @@ from .qcombinatorics import (
     binom_rational_index,
     factor_product,
     gauss_binomial_row,
-    union_sum,
 )
 
 
@@ -92,6 +91,8 @@ def phi21_truncated(u: int, v: int, w: int, b: int, c: int, N: int) -> QRat:
     """
     if b < 1 or N < 1:
         raise ValueError("need base b >= 1 and N >= 1")
+    if N > 1 and w < 1:  # the least factor exponent; w + j b grows with j
+        raise ValueError("denominator factor exponents must be >= 1")
     num = LaurentPoly.one()
     t = LaurentPoly.one()
     for k in range(1, N):
@@ -105,20 +106,16 @@ def phi21_truncated(u: int, v: int, w: int, b: int, c: int, N: int) -> QRat:
 
 def equivalent_form_sum(n: int, d: int, r: int) -> QRat:
     """sum_{k=0}^{n-1} q^{d k^2} [-r/d, k] [(r-d)/d, k] in base q^d, both
-    binomials from [N, k] = [N, k-1] (1 - q^{d(N-k+1)}) / (1 - q^{d k}).
-
-    Identical (not just congruent) to phi21_truncated(r, d-r, d, d, 0, n).
-    """
+    binomials from [N, k] = [N, k-1] (1 - q^{d(N-k+1)}) / (1 - q^{d k}):
+    one numerator over ((q^d;q^d)_{n-1})^2 by Horner's rule, as in
+    ``phi21_truncated``, and identical (not just congruent) to
+    phi21_truncated(r, d-r, d, d, 0, n)."""
     derive_instance(n, d, r)  # validate parameters
-
-    def terms():
-        num, factors = LaurentPoly.one(), ()
-        for k in range(n):
-            yield num.shift(d * k * k), factors
-            num = num.times_one_minus(-r - d * k).times_one_minus(r - d - d * k)
-            factors += (d * (k + 1), d * (k + 1))
-
-    return union_sum(terms())
+    num = term = LaurentPoly.one()
+    for k in range(1, n):
+        term = term.times_one_minus(-r - d * (k - 1)).times_one_minus(r - d * k)
+        num = num.times_one_minus(d * k).times_one_minus(d * k) + term.shift(d * k * k)
+    return QRat(num, 2 * tuple(d * k for k in range(1, n)))
 
 
 # -- the main congruence ---------------------------------------------------

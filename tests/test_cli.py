@@ -2,6 +2,9 @@ import csv
 import io
 import json
 
+import pytest
+
+from qcongruence import congruence, qcombinatorics, theorems
 from qcongruence.cli import main
 from qcongruence.report import Report, ReportItem
 
@@ -49,24 +52,9 @@ class TestVerify:
 
 
 class TestSteps:
-    def test_steps_flag_and_subcommand_agree(self, capsys):
-        code1, out1, _ = run(capsys, "verify", "--n", "5", "--d", "3",
-                             "--r", "1", "--steps", "--format", "json")
-        code2, out2, _ = run(capsys, "steps", "--n", "5", "--d", "3",
-                             "--r", "1", "--format", "json")
-        assert code1 == code2 == 0
-
-        def strip_ms(s):
-            obj = json.loads(s)
-            for it in obj["items"]:
-                it["ms"] = it["ns"] = 0
-            return obj
-
-        assert strip_ms(out1) == strip_ms(out2)
-
     def test_all_step_checks_present(self, capsys):
-        _, out, _ = run(capsys, "steps", "--n", "5", "--d", "3", "--r", "1",
-                        "--format", "json")
+        _, out, _ = run(capsys, "verify", "--n", "5", "--d", "3", "--r", "1",
+                        "--steps", "--format", "json")
         checks = json.loads(out)["items"][0]["checks"]
         assert set(checks) == {"theorem", "equivalent_form", "binom_shift",
                                "final2", "final3_final4", "harmonic_full",
@@ -79,12 +67,55 @@ class TestSteps:
         assert code == 0 and "FAIL" not in out
 
     def test_failing_instance_localizes_to_expansion(self, capsys):
-        code, out, _ = run(capsys, "steps", "--n", "4", "--d", "3", "--r", "1",
-                           "--format", "json")
+        code, out, _ = run(capsys, "verify", "--n", "4", "--d", "3", "--r", "1",
+                           "--steps", "--format", "json")
         assert code == 1
         checks = json.loads(out)["items"][0]["checks"]
         failed = {k for k, v in checks.items() if not v}
         assert failed == {"theorem", "expansion"}
+
+    @pytest.fixture
+    def no_oracle(self, monkeypatch):
+        """Make the exact oracle (union_sum, QRat sums and equality,
+        congruent_mod_phi) raise, so that a command reaching it fails."""
+        def oracle(*args):
+            raise AssertionError("the exact oracle was called")
+
+        for owner, name in ((qcombinatorics, "union_sum"),
+                            (congruence, "union_sum"),
+                            (qcombinatorics.QRat, "__add__"),
+                            (qcombinatorics.QRat, "__eq__"),
+                            (congruence, "congruent_mod_phi")):
+            monkeypatch.setattr(owner, name, oracle)
+        assert not hasattr(theorems, "union_sum")
+
+    @pytest.mark.parametrize("n,d,r,code,failed", [
+        (7, 5, 2, 0, set()),
+        (4, 3, 1, 1, {"theorem", "expansion"}),
+        (5, 3, 0, 0, set()),
+    ])
+    def test_audit_never_reaches_the_oracle(self, capsys, no_oracle,
+                                            n, d, r, code, failed):
+        got, out, err = run(capsys, "verify", "--n", str(n), "--d", str(d),
+                            "--r", str(r), "--steps", "--format", "json")
+        assert (got, err) == (code, "")
+        checks = json.loads(out)["items"][0]["checks"]
+        assert len(checks) == (7 if r % d == 0 else 8)
+        assert {k for k, v in checks.items() if not v} == failed
+
+    def test_sweep_audit_never_reaches_the_oracle(self, capsys, no_oracle):
+        code, out, err = run(capsys, "sweep", "--n-max", "5", "--d-max", "3",
+                             "--r-max", "3", "--steps", "--include-degenerate",
+                             "--format", "json")
+        assert (code, err) == (1, "")
+        failing = []
+        for it in json.loads(out)["items"]:
+            failed = {k for k, v in it["checks"].items() if not v}
+            if failed:
+                failing.append((it["n"], it["d"], it["r"]))
+                assert failed == {"theorem", "expansion"}
+        # even n with odd (a d + r)/n, the degenerate d | r included
+        assert failing == [(2, 3, 2), (2, 3, 3), (4, 3, 1), (4, 3, 3)]
 
 
 class TestSweep:

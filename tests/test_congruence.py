@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from operator import add, sub
 
 import pytest
@@ -156,6 +157,45 @@ class TestFolding:
         for n in (2, 7, 400, 401):
             folded = fold_mod_binomial_power(LaurentPoly.constant(3), n, 2)
             assert folded.c == [[3] + [0] * (folded.N - 1), [0] * folded.N]
+
+    def test_closing_step_powers_on_the_criterion_1_grid(self):
+        """The two t-linear identities behind the signed closing step:
+        with m = (a d + r)/n, sdn = -m n and E = sdn (n-1-2a)/2, q^E and
+        q^{sdn} are whole blocks (q^N)^M, M of either sign for q^E and
+        negative for q^{sdn}, and fold to eps^M (1 + M eps t):
+
+            even n:  q^E -> (-1)^{m(n-1)} (1 + m(n-1-2a) t),
+                     1 - q^{sdn} -> -2m t;
+            odd n:   q^E -> 1 - m h t, h = (n-1-2a)/2,
+                     1 - q^{sdn} -> m t.
+
+        So the signed right side (-1)^{m(n-1)} (1 + (2a+1-n)/2 (1 - q^{sdn}))
+        is q^E modulo Phi_n^2 for every instance, and the literal one
+        differs from it exactly for even n and odd m."""
+        total = 0
+        for n in range(2, 41):
+            for d in range(2, 11):
+                if gcd(n, d) != 1:
+                    continue
+                for r in range(1, 2 * d + 1):
+                    if r % d == 0:
+                        continue
+                    total += 1
+                    a = (-r * pow(d, -1, n)) % n
+                    m = (a * d + r) // n
+                    sdn = -m * n
+                    E = sdn * (n - 1 - 2 * a) // 2
+                    if n % 2 == 0:
+                        sign = (-1) ** (m * (n - 1))
+                        head, t_e, t_s = sign, sign * m * (n - 1 - 2 * a), -2 * m
+                    else:
+                        head, t_e, t_s = 1, -m * (n - 1 - 2 * a) // 2, m
+                    zeros = [0] * ((n if n % 2 else n // 2) - 1)  # N - 1
+                    got_e = fold_mod_binomial_power(LaurentPoly.monomial(E), n, 2)
+                    got_s = fold_mod_binomial_power(P({0: 1, sdn: -1}), n, 2)
+                    assert got_e.c == [[head] + zeros, [t_e] + zeros], (n, d, r)
+                    assert got_s.c == [[0] + zeros, [t_s] + zeros], (n, d, r)
+        assert total == 1984
 
 
 def _horner_fold(p, n, k):

@@ -128,9 +128,21 @@ class TestPhi21Truncated:
             assert f.num(x) / den == direct(u, v, w, b, c, N, x), \
                 (u, v, w, b, c, N)
 
-    def test_rejects_vanishing_denominator(self):
+    def test_rejects_vanishing_denominator(self, monkeypatch):
         with pytest.raises(ValueError):
             phi21_truncated(1, 2, 0, 3, 0, 2)
+        # the bad exponent is caught before any factor is multiplied in
+        counted = []
+        times_one_minus = LaurentPoly.times_one_minus
+
+        def counting(self, m):
+            counted.append(m)
+            return times_one_minus(self, m)
+
+        monkeypatch.setattr(LaurentPoly, "times_one_minus", counting)
+        with pytest.raises(ValueError, match="exponents must be >= 1"):
+            phi21_truncated(1, 2, -3, 1, 0, 400)
+        assert counted == []
 
 
 class TestEquivalentForm:
