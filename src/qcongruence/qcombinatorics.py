@@ -10,16 +10,21 @@ denominator (the empty product) QRat(p) is the polynomial p.
 
 Products and quotients by (1 - q^m) are single passes over a coefficient
 list (``LaurentPoly.times_one_minus``/``div_one_minus``): a product of
-such factors, a Pochhammer symbol or the factors a proof-step numerator
-lacks, is one ``factor_product``; Gaussian binomials come from one-factor
-exact divisions, a whole row [N, 0..k] at once, and ``union_sum`` builds
-a sum of terms over their union denominator by Horner's rule.  No
-verifier decides through QRat: ``theorems`` folds numerators over
-denominators known in advance, and QRat arithmetic with ``union_sum``
-and ``congruent_mod_phi`` is the exact oracle the tests compare them with.
+such factors, such as the factors a proof-step numerator lacks, is one
+``factor_product``.  The Pochhammer products (q^u;q^b)_i and the Gaussian
+binomials [N, i], each from the one before by one factor (and, for a
+binomial, one exact division), are ``Prefixes``: built for i = 0, 1, ...
+as far as a caller reads, and kept as long as the caller keeps them.
+``union_sum`` builds a sum of terms over their union denominator by
+Horner's rule.  No verifier decides through QRat: ``theorems`` folds
+numerators over denominators known in advance, and QRat arithmetic with
+``union_sum`` and ``congruent_mod_phi`` is the exact oracle the tests
+compare them with.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .polyring import LaurentPoly
 
@@ -143,15 +148,49 @@ def factor_product(p: LaurentPoly, exponents) -> LaurentPoly:
     return p
 
 
+class Prefixes:
+    """The sequence p_0 = 1, p_i = step(p_{i-1}, i) of Laurent polynomials,
+    built on the first read of an index and only as far as that read.  The
+    built part is a tuple that a longer one replaces, never changed in
+    place, so concurrent readers never see a partial prefix."""
+
+    __slots__ = ("_step", "_built")
+
+    def __init__(self, step):
+        self._step, self._built = step, (LaurentPoly.one(),)
+
+    def upto(self, k: int) -> tuple:
+        """p_0, ..., p_k."""
+        built = self._built
+        if k >= len(built):
+            grown = list(built)
+            for i in range(len(built), k + 1):
+                grown.append(self._step(grown[-1], i))
+            built = tuple(grown)
+            if k >= len(self._built):
+                self._built = built
+        return built[:k + 1]
+
+    def __getitem__(self, i: int) -> LaurentPoly:
+        built = self._built
+        return built[i] if i < len(built) else self.upto(i)[-1]
+
+
+def pochhammer_prefixes(u: int, b: int) -> Prefixes:
+    """(q^u; q^b)_i for i = 0, 1, ...: one factor (1 - q^{u + (i-1) b})
+    per step."""
+    return Prefixes(lambda p, i: p.times_one_minus(u + (i - 1) * b))
+
+
 def q_pochhammer(u: int, b: int, k: int) -> LaurentPoly:
     """(q^u; q^b)_k = prod_{j=0}^{k-1} (1 - q^{u + j b})."""
     if k < 0:
         raise ValueError("Pochhammer length must be >= 0")
-    return factor_product(LaurentPoly.one(), (u + j * b for j in range(k)))
+    return pochhammer_prefixes(u, b)[k]
 
 
-def gauss_binomial_row(N: int, k: int, b: int = 1) -> list:
-    """The Gaussian binomials [N choose i] in base q^b for i = 0..k.
+def binomial_prefixes(N: int, b: int = 1) -> Prefixes:
+    """The Gaussian binomials [N choose i] in base q^b for i = 0, 1, ...
 
     Each comes from the one before by one factor and one exact division,
     [N, i] = [N, i-1] (1 - q^{b(N-i+1)}) / (1 - q^{b i}); for N < 0 these
@@ -159,12 +198,16 @@ def gauss_binomial_row(N: int, k: int, b: int = 1) -> list:
     them zero.  An inexact division is an implementation bug and raises
     ArithmeticError.
     """
+    return Prefixes(lambda p, i: p.times_one_minus(b * (N - i + 1))
+                    .div_one_minus(b * i))
+
+
+def gauss_binomial_row(N: int, k: int, b: int = 1) -> list:
+    """The Gaussian binomials [N choose i] in base q^b for i = 0..k, from
+    ``binomial_prefixes``."""
     if k < 0:
         raise ValueError("lower index must be >= 0")
-    row = [LaurentPoly.one()]
-    for i in range(1, k + 1):
-        row.append(row[-1].times_one_minus(b * (N - i + 1)).div_one_minus(b * i))
-    return row
+    return list(binomial_prefixes(N, b).upto(k))
 
 
 def gauss_binomial(N: int, k: int, b: int = 1) -> LaurentPoly:
@@ -174,6 +217,11 @@ def gauss_binomial(N: int, k: int, b: int = 1) -> LaurentPoly:
     it is a Laurent polynomial.  Built by ``gauss_binomial_row``.
     """
     return gauss_binomial_row(N, k, b)[-1]
+
+
+# The proof-step audit reads [-r/d, k] for k = 0..n-1 in turn: the
+# Pochhammer products of one (r, d) are kept and extended as far as read.
+_rational_index_prefixes = lru_cache(maxsize=1)(pochhammer_prefixes)
 
 
 def binom_rational_index(r: int, d: int, k: int) -> QRat:
@@ -186,7 +234,7 @@ def binom_rational_index(r: int, d: int, k: int) -> QRat:
         raise ValueError("base exponent must be >= 1")
     if k < 0:
         raise ValueError("lower index must be >= 0")
-    num = q_pochhammer(r, d, k).shift(-r * k - d * (k * (k - 1) // 2))
+    num = _rational_index_prefixes(r, d)[k].shift(-r * k - d * (k * (k - 1) // 2))
     return QRat(-num if k % 2 else num, (d * j for j in range(1, k + 1)))
 
 

@@ -6,7 +6,6 @@ nondeterministic fields are the per-item timings: ms, and ns in JSON.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 
@@ -57,6 +56,7 @@ class Report:
         return {"summary": self.summary, "items": items}
 
     def to_json(self) -> str:
+        import json  # loaded on first use, not with the package
         return json.dumps(self.to_obj(), indent=2) + "\n"
 
     def _table(self, ok: str, fail: str, sep: str, failed: str):

@@ -14,6 +14,7 @@ check both, witnesses included, against ``phi21_truncated``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Union
 
@@ -28,10 +29,12 @@ from .congruence import (
 )
 from .polyring import LaurentPoly
 from .qcombinatorics import (
+    Prefixes,
     QRat,
     binom_rational_index,
+    binomial_prefixes,
     factor_product,
-    gauss_binomial_row,
+    pochhammer_prefixes,
 )
 
 
@@ -65,7 +68,7 @@ def derive_instance(n: int, d: int, r: int) -> TheoremInstance:
         raise ValueError("need n >= 2 and d >= 2")
     if gcd(n, d) != 1:
         raise ValueError(f"gcd({n}, {d}) != 1")
-    a = residue_index(Fraction(-r, d), n)
+    a = -r * pow(d, -1, n) % n  # the residue index of -r/d modulo n
     adr = a * d + r
     if adr % n:
         raise ArithmeticError("a d + r must vanish modulo n")
@@ -224,27 +227,46 @@ def verify_special_case(label: str, p: int) -> Verdict:
 # -- proof-step verifiers --------------------------------------------------
 # Every factor (1 - q^{jd}) below has j < n and gcd(n, d) = 1: a unit mod Phi_n.
 
+class _ProofRows(NamedTuple):
+    up: Prefixes    # [a, i] in base q^d
+    down: Prefixes  # [-1-a, i] in base q^d
+    poch: Prefixes  # (q^d;q^d)_i, the factors before term i + 1 of sum_j 1/[j]
+
+
+@lru_cache(maxsize=1)
+def _proof_rows(d: int, a: int) -> _ProofRows:
+    """What the proof steps of one instance share, each built on first
+    read and only as far as read: ``step_binom_shift`` reads [a, 0..k] at
+    every k < n, the double sums the rows of a and -1-a.  The memo holds
+    one instance, so a long sweep holds O(n) polynomials."""
+    return _ProofRows(binomial_prefixes(a, d), binomial_prefixes(-1 - a, d),
+                      pochhammer_prefixes(d, d))
+
+
 def _half_exponent(numerator: int) -> int:
     if numerator % 2:
         raise ArithmeticError("half-integer exponent encountered")
     return numerator // 2
 
 
-def _horner(terms, acc=LaurentPoly.zero(), nested=False) -> LaurentPoly:
+def _horner(terms, acc=LaurentPoly.zero(), nested=False,
+            prefix=None) -> LaurentPoly:
     """The numerator over prod (1 - q^m) of acc + sum num / D over the
     (num, m) in terms, m distinct, by Horner's rule acc = acc (1 - q^m) +
-    num P: D = 1 - q^m and P the product of the factors before it, or,
+    num P: D = 1 - q^m and P = prefix[i] for the i-th term, the product of
+    the factors before it (formed here unless a caller shares them), or,
     nested, D the product of every factor up to 1 - q^m and P = 1."""
-    prefix, last = LaurentPoly.one(), 0
-    for num, m in terms:
-        if last and not nested:
-            prefix = prefix.times_one_minus(last)
-            num = num * prefix
+    own, last = LaurentPoly.one(), 0
+    for i, (num, m) in enumerate(terms):
+        if i and not nested:
+            if prefix is None:
+                own = own.times_one_minus(last)
+            num = num * (own if prefix is None else prefix[i])
         acc, last = acc.times_one_minus(m) + num, m
     return acc
 
 
-def _chu_tail(d: int, k: int, h: int, row: list, sign: int = 1):
+def _chu_tail(d: int, k: int, h: int, row, sign: int = 1):
     """The (numerator, factor exponent) pairs for ``_horner`` of sign
     sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2} (1 - q^h) row[k-j]
     / (1 - q^{j d}), the j >= 1 part of the q-Chu-Vandermonde expansion."""
@@ -254,18 +276,20 @@ def _chu_tail(d: int, k: int, h: int, row: list, sign: int = 1):
         yield (num if sign * (-1) ** j > 0 else -num), j * d
 
 
-def _harmonic(d: int, terms, c: int = 1, acc=LaurentPoly.zero()) -> LaurentPoly:
+def _harmonic(d: int, terms, c: int = 1, acc=LaurentPoly.zero(),
+              prefix=None) -> LaurentPoly:
     """The numerator of (1 - q^d) acc + c sum over (j, e) in terms of
-    q^e / [j]_{q^d} = q^e (1 - q^d) / (1 - q^{j d}), (1 - q^d) taken once."""
+    q^e / [j]_{q^d} = q^e (1 - q^d) / (1 - q^{j d}), (1 - q^d) taken once;
+    a shared prefix is (q^d;q^d)_i, for terms from j = 1 on."""
     return _horner(((LaurentPoly.monomial(e, c), j * d) for j, e in terms),
-                   acc).times_one_minus(d)
+                   acc, prefix=prefix).times_one_minus(d)
 
 
-def _harmonic_tail(n: int, d: int, a: int, js) -> LaurentPoly:
+def _harmonic_tail(n: int, d: int, a: int, js, prefix=None) -> LaurentPoly:
     """The numerator over (q^d;q^d)_{n-1} of the sum over j in js, a
     range within 1..n-1, of q^{-d(a+1)(a-2j)/2} / [j]_{q^d}."""
     tail = _harmonic(d, ((j, _half_exponent(-d * (a + 1) * (a - 2 * j)))
-                         for j in js))
+                         for j in js), prefix=prefix)
     return factor_product(tail, (d * j for j in range(1, n) if j not in js))
 
 
@@ -284,8 +308,9 @@ def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
     inst = derive_instance(n, d, r)
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n - 1")
-    row = gauss_binomial_row(inst.a, k, d)
-    rhs = _horner(_chu_tail(d, k, inst.sdn, row, -1), row[k].shift(inst.sdn * k))
+    rows = _proof_rows(d, inst.a)
+    rhs = _horner(_chu_tail(d, k, inst.sdn, rows.up, -1),
+                  rows.up[k].shift(inst.sdn * k), prefix=rows.poch)
     return fold_mod_binomial_power(binom_rational_index(r, d, k).num - rhs,
                                    n, 2).verdict()
 
@@ -294,9 +319,13 @@ def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> LaurentPoly:
     """The numerator over (q^d;q^d)_{n-1} of
        sum_{k=1}^{n-1} q^{d k^2} [outer_top, k]
            sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2}
-                         [inner_top, k-j] / [j]      (base q^d)"""
-    inner_row = gauss_binomial_row(inner_top, n - 2, d)
-    outer_row = gauss_binomial_row(outer_top, n - 1, d)
+                         [inner_top, k-j] / [j]      (base q^d)
+
+    for the tops a and -1-a of one instance, in either order."""
+    rows = _proof_rows(d, max(outer_top, inner_top))
+    outer, inner = (rows.up, rows.down) if outer_top >= 0 else (rows.down, rows.up)
+    # whole rows even where [outer_top, k] vanishes: the companion sum reads them
+    inner_row, outer_row = inner.upto(n - 2), outer.upto(n - 1)
 
     # term k is over (q^d;q^d)_k; a zero term still brings its factor
     terms = (((_horner(_chu_tail(d, k, d, inner_row)) * row).shift(d * k * k)
@@ -317,7 +346,7 @@ def step_final2(n: int, d: int, a: int) -> bool:
     """
     if not 0 <= a <= n - 1:
         raise ValueError("need 0 <= a <= n - 1")
-    rhs = _harmonic_tail(n, d, a, range(1, a + 1))
+    rhs = _harmonic_tail(n, d, a, range(1, a + 1), _proof_rows(d, a).poch)
     return _double_sum(n, d, a, -1 - a) == (-rhs if a % 2 else rhs)
 
 
@@ -358,7 +387,7 @@ def harmonic_twisted(n: int, d: int, a: int) -> Verdict:
     if not 0 <= a <= n - 1:
         raise ValueError("need 0 <= a <= n - 1")
     diff = _harmonic(d, ((j, d * (a + 1) * j) for j in range(1, n)), 2,
-                     LaurentPoly.constant(n - 1 - 2 * a))
+                     LaurentPoly.constant(n - 1 - 2 * a), _proof_rows(d, a).poch)
     return fold_mod_binomial_power(diff, n, 1).verdict()
 
 

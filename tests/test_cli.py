@@ -6,6 +6,7 @@ import pytest
 
 from qcongruence import congruence, qcombinatorics, theorems
 from qcongruence.cli import main
+from qcongruence.polyring import LaurentPoly
 from qcongruence.report import Report, ReportItem
 
 
@@ -65,6 +66,23 @@ class TestSteps:
         code, out, _ = run(capsys, "verify", "--n", "5", "--d", "3",
                            "--r", "0", "--steps")
         assert code == 0 and "FAIL" not in out
+
+    def test_each_row_is_divided_out_once(self, capsys, monkeypatch):
+        # the memo starts empty (conftest): the steps build [a, 1..n-1] and
+        # [-1-a, 1..n-1] once, one exact division each, 2(n - 1) = 58 at
+        # n = 30 (549 when every call of a step rebuilt its rows)
+        divisions = []
+        div_one_minus = LaurentPoly.div_one_minus
+
+        def counting(self, m):
+            divisions.append(m)
+            return div_one_minus(self, m)
+
+        monkeypatch.setattr(LaurentPoly, "div_one_minus", counting)
+        code, out, _ = run(capsys, "verify", "--n", "30", "--d", "7",
+                           "--r", "2", "--steps")
+        assert code == 1 and "binom_shift:ok" in out  # the literal form fails
+        assert len(divisions) == 2 * (30 - 1)
 
     def test_failing_instance_localizes_to_expansion(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "4", "--d", "3", "--r", "1",

@@ -25,7 +25,7 @@ from qcongruence.congruence import congruent_mod_phi
 from qcongruence.cyclotomic import cyclotomic
 from qcongruence.polyring import LaurentPoly
 from qcongruence.qcombinatorics import (
-    QRat, binom_rational_index, gauss_binomial, union_sum)
+    QRat, binom_rational_index, gauss_binomial, gauss_binomial_row, union_sum)
 
 ONE = LaurentPoly.one()
 #: the zero rational function (no denominator)
@@ -219,15 +219,15 @@ def test_loose_binom_shift_witnesses_match_union_sum(n, monkeypatch):
     """No binomial-shift check fails on the grid, so drop the head monomial
     q^{sdn k}: the loose shift holds mod Phi_n and fails mod Phi_n^2.  The
     Horner path must give the witness of congruent_mod_phi on union_sum."""
-    real_row = theorems.gauss_binomial_row
+    real_rows = theorems._proof_rows
     failed = 0
     for d, r, inst in grid_instances(n):
         for k in range(n):
-            row = real_row(inst.a, k, d)
+            row = gauss_binomial_row(inst.a, k, d)
             # the head is row[k] times q^{sdn k}; the tail never reads row[k]
             loose_row = row[:-1] + [row[k].shift(-inst.sdn * k)]
-            monkeypatch.setattr(theorems, "gauss_binomial_row",
-                                lambda *_: loose_row)
+            monkeypatch.setattr(theorems, "_proof_rows", lambda d, a: real_rows(
+                d, a)._replace(up=loose_row))
             got = theorems.step_binom_shift(n, d, r, k)
             tail = [(num, (m,)) for num, m in theorems._chu_tail(d, k, inst.sdn, row, -1)]
             expected = congruent_mod_phi(binom_rational_index(r, d, k),

@@ -8,17 +8,21 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcongruence import qcombinatorics, theorems
 from qcongruence.congruence import (
     Residue,
     Verdict,
     congruent_mod_phi,
     fold_mod_binomial_power,
+    residue_index,
 )
 from qcongruence.cyclotomic import cyclotomic
 from qcongruence.polyring import LaurentPoly
 from qcongruence.qcombinatorics import QRat
+from conftest import clear_memos
 from qcongruence.theorems import (
     SPECIAL_CASES,
+    _double_sum,
     _folded_verdict,
     derive_instance,
     equivalent_form_sum,
@@ -88,8 +92,19 @@ class TestDeriveInstance:
         assert not derive_instance(5, 3, 1).degenerate
 
     def test_rejects_common_factor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^gcd\(6, 3\) != 1$") as exc:
             derive_instance(6, 3, 1)
+        assert type(exc.value) is ValueError
+
+    def test_a_is_the_residue_index_on_the_criterion_1_grid(self):
+        # a = -r d^{-1} mod n, as residue_index(-r/d, n) defines it
+        seen = 0
+        for n, d, r in grid(40, 10, 20):
+            if r <= 2 * d:
+                assert derive_instance(n, d, r).a == \
+                    residue_index(Fraction(-r, d), n), (n, d, r)
+                seen += 1
+        assert seen == 1984
 
     def test_rejects_small_parameters(self):
         with pytest.raises(ValueError):
@@ -478,8 +493,23 @@ class TestProofSteps:
         (step_final2, (7, 5, 1), 26),
     ])
     def test_laurent_factor_count(self, monkeypatch, step, args, calls):
-        """Count LaurentPoly.times_one_minus calls, so that a product
-        formed and never read fails here."""
+        """Count LaurentPoly.times_one_minus calls on a cold memo, so that
+        a product formed and never read fails here."""
+        counted = self._count_factors(monkeypatch)
+        assert bool(step(*args))  # step_final2 returns a plain bool
+        assert len(counted) == calls
+
+    def test_laurent_factor_count_after_the_previous_k(self, monkeypatch):
+        # k = 5 left [a, 0..5], (q^r;q^d)_0..5 and (q^d;q^d)_0..4 in the
+        # memo, so k = 6 adds row 1 + Pochhammer 1 + prefix 1 to its own
+        # tail terms 6 + accumulator 6
+        assert step_binom_shift(7, 5, 2, 5)
+        counted = self._count_factors(monkeypatch)
+        assert step_binom_shift(7, 5, 2, 6)
+        assert len(counted) == 15
+
+    @staticmethod
+    def _count_factors(monkeypatch):
         counted = []
         times_one_minus = LaurentPoly.times_one_minus
 
@@ -488,8 +518,7 @@ class TestProofSteps:
             return times_one_minus(self, m)
 
         monkeypatch.setattr(LaurentPoly, "times_one_minus", counting)
-        assert bool(step(*args))  # step_final2 returns a plain bool
-        assert len(counted) == calls
+        return counted
 
     def test_binom_shift_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -538,6 +567,85 @@ class TestProofSteps:
                 if gcd(n, d) == 1:
                     assert step_expansion(n, d, 0).holds, (n, d)
                     assert verify_theorem(n, d, 0).holds, (n, d)
+
+
+def _audit(n, d, r):
+    """Every proof-step result of one instance, in the order of criterion
+    5, the numerators of both double sums included."""
+    a = derive_instance(n, d, r).a
+    calls = [lambda k=k: step_binom_shift(n, d, r, k) for k in range(n)]
+    calls += [lambda: step_final2(n, d, a),
+              lambda: _double_sum(n, d, a, -1 - a),
+              lambda: step_final3_final4(n, d, r),
+              lambda: _double_sum(n, d, -1 - a, a),
+              lambda: harmonic_full(n, d),
+              lambda: harmonic_twisted(n, d, a),
+              lambda: step_expansion(n, d, r)]
+    return calls
+
+
+class TestSharedRows:
+    """The proof steps of one instance share its rows, Pochhammer prefixes
+    and (q^d;q^d)_i, built on first read; results must not depend on what
+    earlier calls left in the memo."""
+
+    GRID = [(n, d, r) for n in range(2, 10) for d in range(2, 7)
+            if gcd(n, d) == 1 for r in range(1, d)]
+
+    def test_cold_and_warm_results_agree(self):
+        # a failing witness would compare too: Verdict equality reads it
+        for n, d, r in self.GRID:
+            calls = _audit(n, d, r)
+            cold = []
+            for call in calls:
+                clear_memos()
+                cold.append(call())
+            clear_memos()
+            in_order = [call() for call in calls]  # filled as the audit runs
+            warm = [call() for call in calls]  # every read from the memo
+            assert cold == in_order == warm, (n, d, r)
+
+    def test_memo_holds_the_last_instance_only(self):
+        for n, d, r in [(7, 5, 2), (9, 4, 3)]:
+            for call in _audit(n, d, r):
+                call()
+        a = derive_instance(9, 4, 3).a
+        for memo, key in ((theorems._proof_rows, (4, a)),
+                          (qcombinatorics._rational_index_prefixes, (3, 4))):
+            before = memo.cache_info()
+            assert before.currsize == 1
+            memo(*key)
+            after = memo.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        # built as far as read: [a, n-1] and [-1-a, n-1] by the binomial
+        # shift and the outer double sum, (q^d;q^d)_{n-2} by k = n - 1
+        rows = theorems._proof_rows(4, a)
+        assert [len(p._built) for p in rows] == [9, 9, 8]
+
+    def test_two_threads_agree_with_one(self):
+        instances = [(9, 5, 2), (8, 3, 1)]
+        expected = [[call() for call in _audit(*inst)] for inst in instances]
+        clear_memos()
+        barrier, results, errors = threading.Barrier(2), {}, []
+
+        def work(inst):
+            try:
+                barrier.wait(timeout=60)
+                # repeated, so that the two instances evict each other
+                results[inst] = [[call() for call in _audit(*inst)]
+                                 for _ in range(5)]
+            except Exception as exc:  # reported below, in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(inst,))
+                   for inst in instances]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        for inst, want in zip(instances, expected):
+            assert results[inst] == [want] * 5, inst
 
 
 class TestSpecialCases:
