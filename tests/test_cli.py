@@ -70,7 +70,7 @@ class TestSteps:
     def test_each_row_is_divided_out_once(self, capsys, monkeypatch):
         # the memo starts empty (conftest): the steps build [a, 1..n-1] and
         # [-1-a, 1..n-1] once, one exact division each, 2(n - 1) = 58 at
-        # n = 30 (549 when every call of a step rebuilt its rows)
+        # n = 30 (549 if every step call built its rows anew)
         divisions = []
         div_one_minus = LaurentPoly.div_one_minus
 
