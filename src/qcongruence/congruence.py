@@ -22,7 +22,7 @@ from math import comb
 from operator import add, mul, sub
 from typing import Optional, Union
 
-from .cyclotomic import cyclotomic_power
+from .cyclotomic import cyclotomic
 from .polyring import LaurentPoly
 from .qcombinatorics import QRat, union_sum
 
@@ -207,7 +207,7 @@ class Residue:
         divides (q^N - eps)^k."""
         rem = self.poly()
         if rem.coeffs:
-            rem = rem.divrem(cyclotomic_power(self.n, self.k))[1]
+            rem = rem.divrem(cyclotomic(self.n) ** self.k)[1]
         return Verdict(True, self.k) if rem.is_zero else Verdict(False, self.k, rem)
 
 

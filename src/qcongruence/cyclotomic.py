@@ -4,7 +4,7 @@ Phi_n is obtained by dividing q^n - 1 by the product of Phi_d over the
 proper divisors d of n.  Every intermediate value is an honest integer
 polynomial, so no Laurent-rational bookkeeping is needed.  The memo is
 ``functools.lru_cache``, which is thread-safe, so concurrent sweeps can
-share it; the powers Phi_n^k that verdicts divide by are memoized alike.
+share it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,3 @@ def cyclotomic(n: int) -> LaurentPoly:
                 raise ArithmeticError(
                     f"inexact cyclotomic division at n={n}, d={d}")
     return num
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_power(n: int, k: int) -> LaurentPoly:
-    """Phi_n(q)^k, memoized globally like ``cyclotomic``."""
-    return cyclotomic(n) ** k

@@ -24,8 +24,6 @@ compare them with.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .polyring import LaurentPoly
 
 
@@ -219,11 +217,6 @@ def gauss_binomial(N: int, k: int, b: int = 1) -> LaurentPoly:
     return gauss_binomial_row(N, k, b)[-1]
 
 
-# The proof-step audit reads [-r/d, k] for k = 0..n-1 in turn: the
-# Pochhammer products of one (r, d) are kept and extended as far as read.
-_rational_index_prefixes = lru_cache(maxsize=1)(pochhammer_prefixes)
-
-
 def binom_rational_index(r: int, d: int, k: int) -> QRat:
     """[-r/d choose k] in base q^d, defined through the Pochhammer rewrite
 
@@ -234,8 +227,15 @@ def binom_rational_index(r: int, d: int, k: int) -> QRat:
         raise ValueError("base exponent must be >= 1")
     if k < 0:
         raise ValueError("lower index must be >= 0")
-    num = _rational_index_prefixes(r, d)[k].shift(-r * k - d * (k * (k - 1) // 2))
-    return QRat(-num if k % 2 else num, (d * j for j in range(1, k + 1)))
+    return QRat(rational_index_numerator(q_pochhammer(r, d, k), r, d, k),
+                (d * j for j in range(1, k + 1)))
+
+
+def rational_index_numerator(poch: LaurentPoly, r: int, d: int, k: int) -> LaurentPoly:
+    """The numerator of [-r/d choose k] over (q^d; q^d)_k, from the
+    Pochhammer product poch = (q^r; q^d)_k."""
+    num = poch.shift(-r * k - d * (k * (k - 1) // 2))
+    return -num if k % 2 else num
 
 
 def poch_to_binom_check(r: int, d: int, k: int) -> bool:

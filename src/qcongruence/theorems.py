@@ -31,10 +31,10 @@ from .polyring import LaurentPoly
 from .qcombinatorics import (
     Prefixes,
     QRat,
-    binom_rational_index,
     binomial_prefixes,
     factor_product,
     pochhammer_prefixes,
+    rational_index_numerator,
 )
 
 
@@ -243,6 +243,11 @@ def _proof_rows(d: int, a: int) -> _ProofRows:
                       pochhammer_prefixes(d, d))
 
 
+# (q^r;q^d)_k, the numerator of [-r/d, k] that step_binom_shift reads at
+# every k < n: kept for one (r, d) at a time, like _proof_rows.
+_rising_rows = lru_cache(maxsize=1)(pochhammer_prefixes)
+
+
 def _half_exponent(numerator: int) -> int:
     if numerator % 2:
         raise ArithmeticError("half-integer exponent encountered")
@@ -311,19 +316,20 @@ def step_binom_shift(n: int, d: int, r: int, k: int) -> Verdict:
     rows = _proof_rows(d, inst.a)
     rhs = _horner(_chu_tail(d, k, inst.sdn, rows.up, -1),
                   rows.up[k].shift(inst.sdn * k), prefix=rows.poch)
-    return fold_mod_binomial_power(binom_rational_index(r, d, k).num - rhs,
-                                   n, 2).verdict()
+    lhs = rational_index_numerator(_rising_rows(r, d)[k], r, d, k)
+    return fold_mod_binomial_power(lhs - rhs, n, 2).verdict()
 
 
-def _double_sum(n: int, d: int, outer_top: int, inner_top: int) -> LaurentPoly:
+def _double_sum(n: int, d: int, a: int, companion: bool = False) -> LaurentPoly:
     """The numerator over (q^d;q^d)_{n-1} of
        sum_{k=1}^{n-1} q^{d k^2} [outer_top, k]
            sum_{j=1}^{k} (-1)^j q^{-d j(k-j) - d j(j-1)/2}
                          [inner_top, k-j] / [j]      (base q^d)
 
-    for the tops a and -1-a of one instance, in either order."""
-    rows = _proof_rows(d, max(outer_top, inner_top))
-    outer, inner = (rows.up, rows.down) if outer_top >= 0 else (rows.down, rows.up)
+    with (outer_top, inner_top) = (a, -1-a), or (-1-a, a) for the
+    companion sum."""
+    rows = _proof_rows(d, a)
+    outer, inner = (rows.down, rows.up) if companion else (rows.up, rows.down)
     # whole rows even where [outer_top, k] vanishes: the companion sum reads them
     inner_row, outer_row = inner.upto(n - 2), outer.upto(n - 1)
 
@@ -347,7 +353,7 @@ def step_final2(n: int, d: int, a: int) -> bool:
     if not 0 <= a <= n - 1:
         raise ValueError("need 0 <= a <= n - 1")
     rhs = _harmonic_tail(n, d, a, range(1, a + 1), _proof_rows(d, a).poch)
-    return _double_sum(n, d, a, -1 - a) == (-rhs if a % 2 else rhs)
+    return _double_sum(n, d, a) == (-rhs if a % 2 else rhs)
 
 
 def step_final3_final4(n: int, d: int, r: int) -> Verdict:
@@ -365,7 +371,7 @@ def step_final3_final4(n: int, d: int, r: int) -> Verdict:
         raise ValueError("step requires a non-degenerate instance (d does not divide r)")
     a = inst.a
     rhs = _harmonic_tail(n, d, a, range(a + 1, n))
-    return fold_mod_binomial_power(_double_sum(n, d, -1 - a, a)
+    return fold_mod_binomial_power(_double_sum(n, d, a, companion=True)
                                    + (-rhs if a % 2 else rhs), n, 1).verdict()
 
 

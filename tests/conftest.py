@@ -1,16 +1,14 @@
-"""Every test starts with the proof-step and Phi_n^k memos empty, so that
-a pinned count of products does not depend on which tests ran before."""
+"""Every test starts with the proof-step memos empty, so that a pinned
+count of products does not depend on which tests ran before."""
 
 import pytest
 
-from qcongruence import qcombinatorics, theorems
-from qcongruence.cyclotomic import cyclotomic_power
+from qcongruence import theorems
 
 
 def clear_memos():
     theorems._proof_rows.cache_clear()
-    qcombinatorics._rational_index_prefixes.cache_clear()
-    cyclotomic_power.cache_clear()
+    theorems._rising_rows.cache_clear()
 
 
 @pytest.fixture(autouse=True)

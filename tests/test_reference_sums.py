@@ -194,7 +194,7 @@ def test_proof_steps_match_reference(n):
                 ref_harmonic_twisted(n, d, a), where
             assert theorems.step_expansion(n, d, r) == \
                 ref_step_expansion(n, d, r), where
-            assert same(QRat(theorems._double_sum(n, d, a, -1 - a), full),
+            assert same(QRat(theorems._double_sum(n, d, a), full),
                         ref_double_sum(n, d, a, -1 - a)), where
             assert same(QRat(theorems._harmonic_tail(n, d, a, range(a + 1, n)), full),
                         ref_add(ref_harmonic_tail(d, a, range(a + 1, n)),
@@ -249,7 +249,7 @@ def test_flipped_final3_final4_witnesses_match_union_sum(n, monkeypatch):
     for d, r, inst in grid_instances(n):
         a = inst.a
         rhs = ref_harmonic_tail(d, a, range(a + 1, n))
-        lhs = QRat(theorems._double_sum(n, d, -1 - a, a),
+        lhs = QRat(theorems._double_sum(n, d, a, companion=True),
                    tuple(d * j for j in range(1, n)))
         expected = congruent_mod_phi(lhs, -rhs if a % 2 else rhs, n, 1)
         got = theorems.step_final3_final4(n, d, r)

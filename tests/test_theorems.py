@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcongruence import qcombinatorics, theorems
+from qcongruence import theorems
 from qcongruence.congruence import (
     Residue,
     Verdict,
@@ -575,9 +575,9 @@ def _audit(n, d, r):
     a = derive_instance(n, d, r).a
     calls = [lambda k=k: step_binom_shift(n, d, r, k) for k in range(n)]
     calls += [lambda: step_final2(n, d, a),
-              lambda: _double_sum(n, d, a, -1 - a),
+              lambda: _double_sum(n, d, a),
               lambda: step_final3_final4(n, d, r),
-              lambda: _double_sum(n, d, -1 - a, a),
+              lambda: _double_sum(n, d, a, companion=True),
               lambda: harmonic_full(n, d),
               lambda: harmonic_twisted(n, d, a),
               lambda: step_expansion(n, d, r)]
@@ -611,7 +611,7 @@ class TestSharedRows:
                 call()
         a = derive_instance(9, 4, 3).a
         for memo, key in ((theorems._proof_rows, (4, a)),
-                          (qcombinatorics._rational_index_prefixes, (3, 4))):
+                          (theorems._rising_rows, (3, 4))):
             before = memo.cache_info()
             assert before.currsize == 1
             memo(*key)
