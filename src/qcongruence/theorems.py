@@ -243,7 +243,7 @@ def _proof_rows(d: int, a: int) -> _ProofRows:
                       pochhammer_prefixes(d, d))
 
 
-# (q^r;q^d)_k, the numerator of [-r/d, k] that step_binom_shift reads at
+# (q^r;q^d)_k, behind the numerator of [-r/d, k] that step_binom_shift reads at
 # every k < n: kept for one (r, d) at a time, like _proof_rows.
 _rising_rows = lru_cache(maxsize=1)(pochhammer_prefixes)
 
